@@ -771,7 +771,7 @@ void BM_ServeSummaryHit(benchmark::State& state) {
   }();
   for (auto _ : state) {
     auto response = f.server.Execute(query);
-    benchmark::DoNotOptimize(response.summary != nullptr);
+    benchmark::DoNotOptimize(response.summary() != nullptr);
   }
 }
 BENCHMARK(BM_ServeSummaryHit)->UseRealTime()->Threads(1)->Threads(8);

@@ -10,7 +10,7 @@
 //
 // `--json` switches the report to machine-readable JSON (one object with a
 // "scenarios" array) so the perf trajectory can be tracked across PRs; see
-// tools/perf_smoke.py and BENCH_PR4.json.
+// tools/perf_smoke.py and BENCH.json.
 
 #include <cstdio>
 #include <cstring>

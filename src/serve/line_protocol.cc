@@ -243,15 +243,16 @@ std::string FormatResponseLine(const CdiQuery& query,
           << " format=" << query.summarize_format;
     } else {
       out << " T=" << query.exposure << " O=" << query.outcome;
-      if (response.planned != nullptr) out << " mode=planned";
+      if (response.planned() != nullptr) out << " mode=planned";
     }
     out << " source=" << ResponseSourceName(response.source) << " ";
-    if (response.summary != nullptr) {
-      out << FormatSummaryPayload(*response.summary, query.summarize_format);
-    } else if (response.planned != nullptr) {
-      out << FormatPairAnswerPayload(*response.planned);
+    if (response.summary() != nullptr) {
+      out << FormatSummaryPayload(*response.summary(),
+                                  query.summarize_format);
+    } else if (response.planned() != nullptr) {
+      out << FormatPairAnswerPayload(*response.planned());
     } else {
-      out << FormatResultPayload(*response.result);
+      out << FormatResultPayload(*response.result());
     }
     char tail[96];
     std::snprintf(tail, sizeof(tail), " latency_us=%.1f",

@@ -69,9 +69,9 @@ std::string FormatSummaryPayload(const SummaryArtifact& artifact,
 ///   `ok scenario=S T=... O=... mode=planned source=hit <payload> ...`
 ///   `ok scenario=S mode=summarize k=6 format=dot source=hit <payload> ...`
 ///   `error scenario=S T=... O=... code=DeadlineExceeded message="..."`
-/// Never contains embedded newlines. Planned responses (response.planned
+/// Never contains embedded newlines. Planned responses (response.planned()
 /// set) carry the pair-answer payload; summarize responses
-/// (response.summary set) the summary payload; full responses the
+/// (response.summary() set) the summary payload; full responses the
 /// pipeline one.
 std::string FormatResponseLine(const CdiQuery& query,
                                const QueryResponse& response);

@@ -104,6 +104,28 @@ void ServerMetrics::ObserveQueueDepth(std::uint64_t depth) {
   }
 }
 
+void ServerMetrics::RecordResponse(const Status& status,
+                                   double latency_seconds) {
+  switch (status.code()) {
+    case StatusCode::kOk:
+      served.fetch_add(1, std::memory_order_relaxed);
+      latency.Record(latency_seconds);
+      return;
+    case StatusCode::kResourceExhausted:
+      rejected.fetch_add(1, std::memory_order_relaxed);
+      return;
+    case StatusCode::kDeadlineExceeded:
+      deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case StatusCode::kCancelled:
+      cancelled.fetch_add(1, std::memory_order_relaxed);
+      break;
+    default:
+      break;
+  }
+  failed.fetch_add(1, std::memory_order_relaxed);
+}
+
 MetricsSnapshot ServerMetrics::Snapshot() const {
   MetricsSnapshot snap;
   snap.submitted = submitted.load(std::memory_order_relaxed);

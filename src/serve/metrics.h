@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/status.h"
 
 namespace cdi::serve {
 
@@ -138,6 +139,11 @@ class ServerMetrics {
 
   /// Raises the high-water mark to at least `depth`.
   void ObserveQueueDepth(std::uint64_t depth);
+
+  /// Counts one delivered response: an OK one as served (and its latency),
+  /// an error by cause — queue-full as rejected, everything else as failed,
+  /// deadline and cancellation also in their own counters.
+  void RecordResponse(const Status& status, double latency_seconds);
 
   MetricsSnapshot Snapshot() const;
 };

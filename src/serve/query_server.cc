@@ -130,147 +130,100 @@ Status QueryServer::ValidateQuery(const ScenarioBundle& bundle,
   return Status::OK();
 }
 
-QueryResponse QueryServer::ErrorResponse(
-    Status status, std::uint64_t key, std::uint64_t epoch,
-    Clock::time_point submit_time) const {
+void QueryServer::Reply(Request* request, Result<Payload> outcome,
+                        ResponseSource source) {
   QueryResponse response;
-  response.status = std::move(status);
-  response.source = ResponseSource::kError;
-  response.cache_key = key;
-  response.scenario_epoch = epoch;
-  response.latency_seconds =
-      std::chrono::duration<double>(Clock::now() - submit_time).count();
-  return response;
-}
-
-void QueryServer::Respond(std::promise<QueryResponse>* promise,
-                          QueryResponse response) {
-  if (response.status.ok()) {
-    metrics_.served.fetch_add(1, std::memory_order_relaxed);
-    metrics_.latency.Record(response.latency_seconds);
+  if (outcome.ok()) {
+    response.payload = *std::move(outcome);
+    response.source = source;
   } else {
-    switch (response.status.code()) {
-      case StatusCode::kResourceExhausted:
-        metrics_.rejected.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case StatusCode::kDeadlineExceeded:
-        metrics_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-        metrics_.failed.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case StatusCode::kCancelled:
-        metrics_.cancelled.fetch_add(1, std::memory_order_relaxed);
-        metrics_.failed.fetch_add(1, std::memory_order_relaxed);
-        break;
-      default:
-        metrics_.failed.fetch_add(1, std::memory_order_relaxed);
-        break;
-    }
+    response.status = outcome.status();
   }
-  promise->set_value(std::move(response));
+  response.cache_key = request->key;
+  response.scenario_epoch =
+      request->bundle != nullptr ? request->bundle->epoch : 0;
+  response.latency_seconds =
+      std::chrono::duration<double>(Clock::now() - request->submit_time)
+          .count();
+  metrics_.RecordResponse(response.status, response.latency_seconds);
+  request->promise.set_value(std::move(response));
 }
 
 std::future<QueryResponse> QueryServer::Submit(CdiQuery query) {
   metrics_.submitted.fetch_add(1, std::memory_order_relaxed);
-  const Clock::time_point submit_time = Clock::now();
-  std::promise<QueryResponse> promise;
-  std::future<QueryResponse> future = promise.get_future();
+  Request request{std::move(query)};
+  const CdiQuery& q = request.query;
+  request.submit_time = Clock::now();
+  std::future<QueryResponse> future = request.promise.get_future();
 
   // Resolve + validate outside the server lock (registry has its own).
-  auto bundle_or = registry_->Snapshot(query.scenario);
+  auto bundle_or = registry_->Snapshot(q.scenario);
   if (!bundle_or.ok()) {
-    Respond(&promise, ErrorResponse(bundle_or.status(), 0, 0, submit_time));
+    Reply(&request, bundle_or.status(), ResponseSource::kError);
     return future;
   }
-  std::shared_ptr<const ScenarioBundle> bundle = *std::move(bundle_or);
-  if (Status v = ValidateQuery(*bundle, query); !v.ok()) {
-    Respond(&promise,
-            ErrorResponse(std::move(v), 0, bundle->epoch, submit_time));
+  request.bundle = *std::move(bundle_or);
+  if (Status v = ValidateQuery(*request.bundle, q); !v.ok()) {
+    Reply(&request, std::move(v), ResponseSource::kError);
     return future;
   }
 
-  const std::uint64_t key = QueryCacheKey(*bundle, query);
-  const std::uint64_t epoch = bundle->epoch;
-  const Clock::time_point deadline =
-      query.timeout_seconds > 0.0
-          ? submit_time + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(
-                                  query.timeout_seconds))
-          : Clock::time_point::max();
+  request.key = QueryCacheKey(*request.bundle, q);
+  if (q.timeout_seconds > 0.0) {
+    request.deadline =
+        request.submit_time +
+        std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<double>(q.timeout_seconds));
+  }
 
-  std::shared_ptr<const core::PipelineResult> hit_result;
-  std::shared_ptr<const core::PairAnswer> hit_planned;
-  std::shared_ptr<const SummaryArtifact> hit_summary;
+  AnswerCache::Claim claim;
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (stopping_) {
       lock.unlock();
-      Respond(&promise,
-              ErrorResponse(Status::Cancelled("server is shut down"), key,
-                            epoch, submit_time));
+      Reply(&request, Status::Cancelled("server is shut down"),
+            ResponseSource::kError);
       return future;
     }
     // Touching a scenario under a fresh epoch evicts every done entry of
     // the superseded epochs — registry Replace + next touch bounds the
-    // cache without a flush call.
-    EvictStaleLocked(query.scenario, epoch);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      if (it->second.done) {
-        hit_result = it->second.result;  // fall through; respond unlocked
-        hit_planned = it->second.planned;
-        hit_summary = it->second.summary;
-      } else {
-        // Single-flight: attach to the in-flight leader. No queue slot.
+    // caches without a flush call.
+    EvictStaleLocked(q.scenario, request.bundle->epoch);
+    AnswerCache& cache = CacheFor(q.mode);
+    claim = cache.Acquire(request.key, q.scenario, request.bundle->epoch);
+    switch (claim.role) {
+      case FlightRole::kHit:
+        break;  // respond unlocked
+      case FlightRole::kFollow:
+        // Single-flight: the leader answers this request. No queue slot.
         metrics_.coalesced.fetch_add(1, std::memory_order_relaxed);
-        it->second.waiters.push_back(
-            Waiter{std::move(promise), submit_time});
+        claim.flight->followers.push_back(std::move(request));
         return future;
-      }
-    } else {
-      if (queue_.size() >= options_.max_queue_depth) {
-        lock.unlock();
-        Respond(&promise,
-                ErrorResponse(
-                    Status::ResourceExhausted(
-                        "admission queue is full (depth " +
-                        std::to_string(options_.max_queue_depth) + ")"),
-                    key, epoch, submit_time));
+      case FlightRole::kLead:
+        if (queue_.size() >= options_.max_queue_depth) {
+          // Load shedding: give the fresh claim up as a failure (it has
+          // no followers yet), so the key stays uncached.
+          Status full = Status::ResourceExhausted(
+              "admission queue is full (depth " +
+              std::to_string(options_.max_queue_depth) + ")");
+          cache.Publish(claim.flight, full);
+          lock.unlock();
+          Reply(&request, std::move(full), ResponseSource::kError);
+          return future;
+        }
+        // The claim is pending from now on, so identical queries follow
+        // it; enqueue the leader.
+        request.flight = std::move(claim.flight);
+        queue_.push_back(std::move(request));
+        metrics_.ObserveQueueDepth(queue_.size());
+        work_ready_.notify_one();
         return future;
-      }
-      // Claim the cache entry pending *now* so identical queries coalesce
-      // from this moment on, then enqueue the leader.
-      CacheEntry claim;
-      claim.scenario = query.scenario;
-      claim.epoch = epoch;
-      claim.is_summary = query.mode == QueryMode::kSummarize;
-      cache_.emplace(key, std::move(claim));
-      Request request;
-      request.query = std::move(query);
-      request.bundle = std::move(bundle);
-      request.key = key;
-      request.submit_time = submit_time;
-      request.deadline = deadline;
-      request.promise = std::move(promise);
-      queue_.push_back(std::move(request));
-      metrics_.ObserveQueueDepth(queue_.size());
-      work_ready_.notify_one();
-      return future;
     }
   }
 
   // Completed-entry cache hit: serve without a worker.
   metrics_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-  QueryResponse response;
-  response.status = Status::OK();
-  response.result = std::move(hit_result);
-  response.planned = std::move(hit_planned);
-  response.summary = std::move(hit_summary);
-  response.source = ResponseSource::kCacheHit;
-  response.cache_key = key;
-  response.scenario_epoch = epoch;
-  response.latency_seconds =
-      std::chrono::duration<double>(Clock::now() - submit_time).count();
-  Respond(&promise, std::move(response));
+  Reply(&request, std::move(claim.value), ResponseSource::kCacheHit);
   return future;
 }
 
@@ -292,10 +245,8 @@ Result<std::shared_ptr<const ScenarioBundle>> QueryServer::UpdateScenario(
     probe.scenario = name;
     const std::uint64_t plan_key = PlanCacheKey(**old, probe);
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = plan_cache_.find(plan_key);
-    if (it != plan_cache_.end() && it->second->done &&
-        it->second->status.ok() && it->second->plan != nullptr) {
-      warm_edges = it->second->plan->artifact().build.warm_seed;
+    if (const auto* plan = plans_.Find(plan_key)) {
+      warm_edges = (*plan)->artifact().build.warm_seed;
     }
   }
 
@@ -317,68 +268,43 @@ Result<std::shared_ptr<const ScenarioBundle>> QueryServer::RegisterScenario(
   if (!build) {
     return Status::InvalidArgument("RegisterScenario needs a builder");
   }
-  std::shared_ptr<RegEntry> entry;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      if (stopping_) return Status::Cancelled("server is shut down");
-      auto it = pending_reg_.find(name);
-      if (it == pending_reg_.end()) break;
-      // Single-flight: somebody is already building this name — wait and
-      // share their outcome instead of materializing a duplicate.
-      std::shared_ptr<RegEntry> leader = it->second;
-      reg_ready_.wait(lock,
-                      [&] { return leader->done || stopping_; });
-      if (leader->done) {
-        if (!leader->status.ok()) return leader->status;
-        return leader->bundle;
-      }
-    }
-    entry = std::make_shared<RegEntry>();
-    pending_reg_.emplace(name, entry);
-  }
-
-  // Leader: build outside all server locks, publish, then wake followers.
-  // The registry re-checks name collisions atomically at publish, so the
-  // fast-path existence check here is just to skip an expensive build.
-  Result<std::shared_ptr<const ScenarioBundle>> published =
-      Status::Internal("unreachable");
-  if (!replace && registry_->Snapshot(name).ok()) {
-    published = Status::AlreadyExists("scenario '" + name +
-                                      "' is already registered");
-  } else {
-    auto scenario = build();
-    if (!scenario.ok()) {
-      published = Status(scenario.status().code(),
-                         "building scenario '" + name +
-                             "': " + scenario.status().message());
-    } else if (*scenario == nullptr) {
-      published =
-          Status::InvalidArgument("builder for scenario '" + name +
-                                  "' returned null");
-    } else {
-      published = replace ? registry_->Replace(name, *std::move(scenario),
-                                               std::move(default_options))
-                          : registry_->Register(name, *std::move(scenario),
-                                                std::move(default_options));
-    }
-  }
-
   {
     std::lock_guard<std::mutex> lock(mu_);
-    entry->done = true;
-    entry->status = published.ok() ? Status::OK() : published.status();
-    if (published.ok()) entry->bundle = *published;
-    pending_reg_.erase(name);
-    reg_ready_.notify_all();
+    if (stopping_) return Status::Cancelled("server is shut down");
   }
-  return published;
+  // Single-flight: concurrent callers for the same name share the first
+  // one's outcome (bundle or error) instead of materializing a duplicate.
+  // The leader builds outside all server locks. The registry re-checks
+  // name collisions atomically at publish, so the fast-path existence
+  // check here is just to skip an expensive build.
+  const auto publish =
+      [&]() -> Result<std::shared_ptr<const ScenarioBundle>> {
+    if (!replace && registry_->Snapshot(name).ok()) {
+      return Status::AlreadyExists("scenario '" + name +
+                                   "' is already registered");
+    }
+    auto scenario = build();
+    if (!scenario.ok()) {
+      return Status(scenario.status().code(),
+                    "building scenario '" + name +
+                        "': " + scenario.status().message());
+    }
+    if (*scenario == nullptr) {
+      return Status::InvalidArgument("builder for scenario '" + name +
+                                     "' returned null");
+    }
+    return replace ? registry_->Replace(name, *std::move(scenario),
+                                        std::move(default_options))
+                   : registry_->Register(name, *std::move(scenario),
+                                         std::move(default_options));
+  };
+  return registrations_.GetOrCompute(mu_, name, publish);
 }
 
 Status QueryServer::UnregisterScenario(const std::string& name) {
   // The registry stamps the eviction epoch and fires the listener, which
-  // sweeps the scenario's result/plan cache entries under mu_ before
-  // Unregister returns.
+  // sweeps the scenario's cache entries under mu_ before Unregister
+  // returns.
   return registry_->Unregister(name);
 }
 
@@ -402,30 +328,6 @@ void QueryServer::ExecuteRequest(Request request) {
   if (request.deadline != Clock::time_point::max()) {
     token.set_deadline(request.deadline);
   }
-
-  // Fails the leader *and* its coalesced waiters, evicting the pending
-  // single-flight claim so the next identical query recomputes — a failed
-  // run must never poison the cache.
-  const auto fail = [this, &request](const Status& status) {
-    std::vector<Waiter> waiters;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = cache_.find(request.key);
-      if (it != cache_.end() && !it->second.done) {
-        waiters.swap(it->second.waiters);
-        cache_.erase(it);
-      }
-    }
-    Respond(&request.promise,
-            ErrorResponse(status, request.key, request.bundle->epoch,
-                          request.submit_time));
-    for (Waiter& w : waiters) {
-      Respond(&w.promise, ErrorResponse(status, request.key,
-                                        request.bundle->epoch,
-                                        w.submit_time));
-    }
-  };
-
   {
     std::lock_guard<std::mutex> lock(mu_);
     active_tokens_.push_back(&token);
@@ -433,230 +335,99 @@ void QueryServer::ExecuteRequest(Request request) {
     // missed this request, so deliver the cancellation here.
     if (stopping_) token.Cancel();
   }
-  const auto unregister_token = [this, &token] {
+
+  Result<Payload> outcome = Compute(request, &token);
+
+  // Publish: a failed run evicts its claim (it must never poison the
+  // cache) and reaches every follower along with the leader.
+  std::vector<Request> followers;
+  {
     std::lock_guard<std::mutex> lock(mu_);
     active_tokens_.erase(
         std::remove(active_tokens_.begin(), active_tokens_.end(), &token),
         active_tokens_.end());
-  };
+    followers = CacheFor(request.query.mode).Publish(request.flight, outcome);
+  }
+  if (outcome.ok()) {
+    metrics_.executions.fetch_add(1, std::memory_order_relaxed);
+  }
+  for (Request& follower : followers) {
+    // A follower's deadline covers its wait on the leader too.
+    if (Clock::now() > follower.deadline) {
+      Reply(&follower,
+            Status::DeadlineExceeded(
+                "deadline expired while waiting for an identical in-flight "
+                "query"),
+            ResponseSource::kError);
+    } else {
+      Reply(&follower, outcome, ResponseSource::kCoalesced);
+    }
+  }
+  Reply(&request, std::move(outcome), ResponseSource::kExecuted);
+}
 
+Result<Payload> QueryServer::Compute(const Request& request,
+                                     CancelToken* token) {
   // The deadline covers queueing: a request that waited past it fails
   // here without burning pipeline work.
-  if (Status s = token.Check(); !s.ok()) {
-    fail(s);
-    unregister_token();
-    return;
-  }
+  CDI_RETURN_IF_ERROR(token->Check());
 
   if (options_.pre_execute_hook) options_.pre_execute_hook();
 
-  std::shared_ptr<const core::PipelineResult> result;
-  std::shared_ptr<const core::PairAnswer> planned;
-  std::shared_ptr<const SummaryArtifact> summary;
-  if (request.query.mode == QueryMode::kSummarize) {
-    // Summarize path: the scenario's cached C-DAG plan supplies the
-    // graph (shared single-flight with planned queries — the expensive
-    // pipeline run happens at most once per scenario epoch), then the
-    // greedy merge pass runs to the requested budget and both renderings
-    // are built once. Everything after the plan lookup is a pure
-    // deterministic function of the artifact and k.
-    auto plan = GetOrBuildPlan(request, &token);
-    unregister_token();
-    if (!plan.ok()) {
-      fail(plan.status());
-      return;
+  switch (request.query.mode) {
+    case QueryMode::kSummarize: {
+      // Summarize path: the scenario's cached C-DAG plan supplies the
+      // graph (shared single-flight with planned queries — the expensive
+      // pipeline run happens at most once per scenario epoch), then the
+      // greedy merge pass runs to the requested budget and both
+      // renderings are built once. Everything after the plan lookup is a
+      // pure deterministic function of the artifact and k.
+      CDI_ASSIGN_OR_RETURN(auto plan, GetOrBuildPlan(request, token));
+      const Clock::time_point build_start = Clock::now();
+      summarize::SummarizeOptions sopts;
+      sopts.budget = request.query.summarize_k;
+      CDI_ASSIGN_OR_RETURN(
+          auto built,
+          summarize::SummarizeClusterDag(plan->artifact().build.cdag, sopts));
+      auto artifact = std::make_shared<SummaryArtifact>();
+      artifact->summary =
+          std::make_shared<const summarize::SummaryDag>(std::move(built));
+      artifact->dot = artifact->summary->ToDot();
+      artifact->json = artifact->summary->ToJson();
+      metrics_.summary_builds.fetch_add(1, std::memory_order_relaxed);
+      metrics_.summary_latency.Record(
+          std::chrono::duration<double>(Clock::now() - build_start).count());
+      return Payload(std::shared_ptr<const SummaryArtifact>(
+          std::move(artifact)));
     }
-    const Clock::time_point build_start = Clock::now();
-    summarize::SummarizeOptions sopts;
-    sopts.budget = request.query.summarize_k;
-    auto built =
-        summarize::SummarizeClusterDag((*plan)->artifact().build.cdag, sopts);
-    if (!built.ok()) {
-      fail(built.status());
-      return;
+    case QueryMode::kPlanned: {
+      // Planned path: answer off the scenario's cached C-DAG plan — the
+      // first planned query builds it (single-flight); every subsequent
+      // pair is identification + linear algebra on the shared statistics.
+      CDI_ASSIGN_OR_RETURN(auto plan, GetOrBuildPlan(request, token));
+      CDI_ASSIGN_OR_RETURN(auto answer,
+                           plan->AnswerPair(request.query.exposure,
+                                            request.query.outcome));
+      return Payload(
+          std::make_shared<const core::PairAnswer>(std::move(answer)));
     }
-    auto artifact = std::make_shared<SummaryArtifact>();
-    artifact->summary = std::make_shared<const summarize::SummaryDag>(
-        *std::move(built));
-    artifact->dot = artifact->summary->ToDot();
-    artifact->json = artifact->summary->ToJson();
-    summary = std::move(artifact);
-    metrics_.summary_builds.fetch_add(1, std::memory_order_relaxed);
-    metrics_.summary_latency.Record(
-        std::chrono::duration<double>(Clock::now() - build_start).count());
-  } else if (request.query.mode == QueryMode::kPlanned) {
-    // Planned path: answer off the scenario's cached C-DAG plan — the
-    // first planned query builds it (single-flight); every subsequent
-    // pair is identification + linear algebra on the shared statistics.
-    auto plan = GetOrBuildPlan(request, &token);
-    unregister_token();
-    if (!plan.ok()) {
-      fail(plan.status());
-      return;
-    }
-    auto answer = (*plan)->AnswerPair(request.query.exposure,
-                                      request.query.outcome);
-    if (!answer.ok()) {
-      fail(answer.status());
-      return;
-    }
-    planned = std::make_shared<const core::PairAnswer>(*std::move(answer));
-  } else {
-    core::PipelineOptions pipeline_options =
-        request.query.options.has_value() ? *request.query.options
-                                          : request.bundle->default_options;
-    pipeline_options.num_threads = options_.pipeline_threads;
-
-    const datagen::Scenario& sc = *request.bundle->scenario;
-    core::Pipeline pipeline(&sc.kg, &sc.lake, sc.oracle.get(), &sc.topics,
-                            pipeline_options);
-    // The bundle's live table, not the scenario's original: after an
-    // UpdateScenario rollover they differ, and the epoch in the cache key
-    // refers to the former.
-    auto run = pipeline.Run(*request.bundle->input, sc.spec.entity_column,
-                            request.query.exposure, request.query.outcome,
-                            &token);
-    unregister_token();
-
-    if (!run.ok()) {
-      fail(run.status());
-      return;
-    }
-    result = std::make_shared<const core::PipelineResult>(*std::move(run));
+    case QueryMode::kFull:
+      break;
   }
-
-  std::vector<Waiter> waiters;
-  bool stale = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    CacheEntry& entry = cache_[request.key];
-    entry.done = true;
-    entry.result = result;
-    entry.planned = planned;
-    entry.summary = summary;
-    entry.is_summary = request.query.mode == QueryMode::kSummarize;
-    entry.scenario = request.query.scenario;
-    entry.epoch = request.bundle->epoch;
-    waiters.swap(entry.waiters);
-    // A result whose epoch was superseded while it ran answers its own
-    // waiters but is not retained — retaining it would recreate the
-    // stale-epoch leak through the completion path.
-    auto latest = latest_epoch_.find(request.query.scenario);
-    if (latest != latest_epoch_.end() &&
-        latest->second > request.bundle->epoch) {
-      cache_.erase(request.key);
-      stale = true;
-    }
-  }
-  if (stale) metrics_.evicted_stale.fetch_add(1, std::memory_order_relaxed);
-  metrics_.executions.fetch_add(1, std::memory_order_relaxed);
-
-  QueryResponse response;
-  response.status = Status::OK();
-  response.result = result;
-  response.planned = planned;
-  response.summary = summary;
-  response.source = ResponseSource::kExecuted;
-  response.cache_key = request.key;
-  response.scenario_epoch = request.bundle->epoch;
-  response.latency_seconds = std::chrono::duration<double>(
-                                 Clock::now() - request.submit_time)
-                                 .count();
-  Respond(&request.promise, std::move(response));
-
-  for (Waiter& w : waiters) {
-    QueryResponse coalesced;
-    coalesced.status = Status::OK();
-    coalesced.result = result;
-    coalesced.planned = planned;
-    coalesced.summary = summary;
-    coalesced.source = ResponseSource::kCoalesced;
-    coalesced.cache_key = request.key;
-    coalesced.scenario_epoch = request.bundle->epoch;
-    coalesced.latency_seconds =
-        std::chrono::duration<double>(Clock::now() - w.submit_time).count();
-    Respond(&w.promise, std::move(coalesced));
-  }
+  CDI_ASSIGN_OR_RETURN(auto run,
+                       RunPipeline(request, request.query.exposure,
+                                   request.query.outcome, /*warm=*/false,
+                                   token));
+  return Payload(std::make_shared<const core::PipelineResult>(std::move(run)));
 }
 
-Result<std::shared_ptr<const core::CdagPlan>> QueryServer::GetOrBuildPlan(
-    const Request& request, CancelToken* token) {
-  const std::uint64_t plan_key =
-      PlanCacheKey(*request.bundle, request.query);
-  std::shared_ptr<PlanEntry> entry;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = plan_cache_.find(plan_key);
-    if (it != plan_cache_.end()) {
-      entry = it->second;
-      if (!entry->done) {
-        // Another worker is building this plan: wait for it, observing
-        // this request's own deadline (the leader's build keeps going —
-        // a waiter timing out must not evict the shared build).
-        const auto ready = [&] { return entry->done || stopping_; };
-        if (request.deadline != Clock::time_point::max()) {
-          if (!plan_ready_.wait_until(lock, request.deadline, ready)) {
-            return Status::DeadlineExceeded(
-                "deadline expired while waiting for the scenario C-DAG "
-                "plan build");
-          }
-        } else {
-          plan_ready_.wait(lock, ready);
-        }
-        if (!entry->done) {
-          return Status::Cancelled("server shutting down");
-        }
-      }
-      if (!entry->status.ok()) return entry->status;
-      return entry->plan;
-    }
-    // Single-flight claim: this request builds the plan.
-    entry = std::make_shared<PlanEntry>();
-    entry->scenario = request.query.scenario;
-    entry->epoch = request.bundle->epoch;
-    plan_cache_.emplace(plan_key, entry);
-  }
-
-  // Publishes the build outcome and wakes the waiters. Failed builds are
-  // evicted (current waiters get the error; the next planned query
-  // rebuilds cleanly), as are builds whose epoch was superseded while
-  // they ran.
-  const auto finish =
-      [&](Status status, std::shared_ptr<const core::CdagPlan> plan)
-      -> Result<std::shared_ptr<const core::CdagPlan>> {
-    std::lock_guard<std::mutex> lock(mu_);
-    entry->done = true;
-    entry->status = status;
-    entry->plan = plan;
-    bool evict = !status.ok();
-    auto latest = latest_epoch_.find(request.query.scenario);
-    if (latest != latest_epoch_.end() && latest->second > entry->epoch) {
-      evict = true;
-    }
-    if (evict) {
-      auto it = plan_cache_.find(plan_key);
-      if (it != plan_cache_.end() && it->second == entry) {
-        plan_cache_.erase(it);
-      }
-    }
-    plan_ready_.notify_all();
-    if (!status.ok()) return status;
-    return plan;
-  };
-
-  // The artifact is the full pipeline result for the scenario's canonical
-  // exposure/outcome pair — built once per (scenario, epoch, options),
-  // then shared by every planned pair query.
+Result<core::PipelineResult> QueryServer::RunPipeline(
+    const Request& request, const std::string& exposure,
+    const std::string& outcome, bool warm, CancelToken* token) const {
   core::PipelineOptions pipeline_options =
       request.query.options.has_value() ? *request.query.options
                                         : request.bundle->default_options;
   pipeline_options.num_threads = options_.pipeline_threads;
-  // Warm-start: seed the discovery stage with the superseded epoch's
-  // C-DAG (stashed on the bundle by UpdateScenario). Opt-in — a warm run
-  // may converge differently than a cold one, and the seed is part of the
-  // options fingerprint, so the two never share cache keys.
-  const bool warm = options_.warm_start_plans &&
-                    !request.bundle->warm_start_edges.empty();
   if (warm) {
     pipeline_options.builder.warm_start_edges =
         request.bundle->warm_start_edges;
@@ -664,62 +435,63 @@ Result<std::shared_ptr<const core::CdagPlan>> QueryServer::GetOrBuildPlan(
   const datagen::Scenario& sc = *request.bundle->scenario;
   core::Pipeline pipeline(&sc.kg, &sc.lake, sc.oracle.get(), &sc.topics,
                           pipeline_options);
-  auto run = pipeline.Run(*request.bundle->input, sc.spec.entity_column,
-                          sc.exposure_attribute, sc.outcome_attribute,
-                          token);
-  if (!run.ok()) return finish(run.status(), nullptr);
-  auto artifact =
-      std::make_shared<const core::PipelineResult>(*std::move(run));
-  auto plan = core::CdagPlan::Build(std::move(artifact));
-  if (!plan.ok()) return finish(plan.status(), nullptr);
-  metrics_.plan_builds.fetch_add(1, std::memory_order_relaxed);
-  if (warm) {
-    metrics_.warm_start_hits.fetch_add(1, std::memory_order_relaxed);
-  }
-  return finish(Status::OK(),
-                std::make_shared<const core::CdagPlan>(*std::move(plan)));
+  // The bundle's live table, not the scenario's original: after an
+  // UpdateScenario rollover they differ, and the epoch in the cache keys
+  // refers to the former.
+  return pipeline.Run(*request.bundle->input, sc.spec.entity_column,
+                      exposure, outcome, token);
+}
+
+Result<std::shared_ptr<const core::CdagPlan>> QueryServer::GetOrBuildPlan(
+    const Request& request, CancelToken* token) {
+  // The artifact is the full pipeline result for the scenario's canonical
+  // exposure/outcome pair — built once per (scenario, epoch, options),
+  // then shared by every planned pair query.
+  const auto build = [&]() -> Result<std::shared_ptr<const core::CdagPlan>> {
+    // Warm-start: seed the discovery stage with the superseded epoch's
+    // C-DAG (stashed on the bundle by UpdateScenario). Opt-in — a warm
+    // run may converge differently than a cold one, and the seed is part
+    // of the options fingerprint, so the two never share cache keys.
+    const bool warm = options_.warm_start_plans &&
+                      !request.bundle->warm_start_edges.empty();
+    const datagen::Scenario& sc = *request.bundle->scenario;
+    CDI_ASSIGN_OR_RETURN(auto run,
+                         RunPipeline(request, sc.exposure_attribute,
+                                     sc.outcome_attribute, warm, token));
+    CDI_ASSIGN_OR_RETURN(auto plan,
+                         core::CdagPlan::Build(
+                             std::make_shared<const core::PipelineResult>(
+                                 std::move(run))));
+    metrics_.plan_builds.fetch_add(1, std::memory_order_relaxed);
+    if (warm) metrics_.warm_start_hits.fetch_add(1, std::memory_order_relaxed);
+    return std::make_shared<const core::CdagPlan>(std::move(plan));
+  };
+  // Concurrent requests wait for the leader's build, each up to its own
+  // deadline (the build keeps going: a follower timing out must not evict
+  // it). A failed build reaches the current followers and is evicted, so
+  // the next planned query rebuilds cleanly; so is a build whose epoch was
+  // superseded while it ran.
+  return plans_.GetOrCompute(mu_, PlanCacheKey(*request.bundle, request.query),
+                             build, request.query.scenario,
+                             request.bundle->epoch, request.deadline);
 }
 
 void QueryServer::EvictStaleLocked(const std::string& scenario,
                                    std::uint64_t epoch) {
-  auto [it, inserted] = latest_epoch_.try_emplace(scenario, epoch);
-  if (!inserted) {
-    if (it->second >= epoch) return;  // no epoch bump — nothing newly stale
-    it->second = epoch;
-  }
-  std::uint64_t evicted = 0;
-  for (auto e = cache_.begin(); e != cache_.end();) {
-    if (e->second.done && e->second.scenario == scenario &&
-        e->second.epoch < epoch) {
-      e = cache_.erase(e);
-      ++evicted;
-    } else {
-      ++e;  // pending claims keep their waiters; evicted at completion
-    }
-  }
-  for (auto p = plan_cache_.begin(); p != plan_cache_.end();) {
-    if (p->second->done && p->second->scenario == scenario &&
-        p->second->epoch < epoch) {
-      p = plan_cache_.erase(p);
-      ++evicted;
-    } else {
-      ++p;
-    }
-  }
-  if (evicted > 0) {
-    metrics_.evicted_stale.fetch_add(evicted, std::memory_order_relaxed);
-  }
+  if (!epochs_.Advance(scenario, epoch)) return;  // nothing newly stale
+  results_.Sweep(scenario, epoch);
+  summaries_.Sweep(scenario, epoch);
+  plans_.Sweep(scenario, epoch);
 }
 
 MetricsSnapshot QueryServer::Metrics() const {
   MetricsSnapshot snap = metrics_.Snapshot();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    snap.result_cache_entries = cache_.size();
-    snap.plan_cache_entries = plan_cache_.size();
-    for (const auto& [key, entry] : cache_) {
-      if (entry.is_summary) ++snap.summary_cache_entries;
-    }
+    // Summaries count as result-cache entries too (they are answers).
+    snap.summary_cache_entries = summaries_.size();
+    snap.result_cache_entries = results_.size() + summaries_.size();
+    snap.plan_cache_entries = plans_.size();
   }
   const RegistryStats registry = registry_->Stats();
   snap.scenarios_registered = registry.scenarios_registered;
@@ -734,16 +506,7 @@ MetricsSnapshot QueryServer::Metrics() const {
 
 std::size_t QueryServer::InvalidateCache() {
   std::lock_guard<std::mutex> lock(mu_);
-  std::size_t dropped = 0;
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->second.done) {
-      it = cache_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  return dropped;
+  return results_.DropDone() + summaries_.DropDone();
 }
 
 void QueryServer::Shutdown() {
@@ -752,35 +515,29 @@ void QueryServer::Shutdown() {
   // serializes with in-flight listener calls, and mu_ is not held here,
   // so the listener's listener_mu_ -> mu_ order cannot deadlock.
   registry_->SetEvictionListener(nullptr);
+  const Status shutdown = Status::Cancelled("server shutting down");
   std::deque<Request> dropped;
+  std::vector<Request> followers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
     dropped.swap(queue_);
     for (CancelToken* token : active_tokens_) token->Cancel();
     work_ready_.notify_all();
-    plan_ready_.notify_all();  // plan-build waiters unblock as cancelled
-    reg_ready_.notify_all();   // registration followers unblock as cancelled
+    // Every follower of every tier wakes as cancelled; leaders still
+    // running publish into their aborted flights as no-ops.
+    followers = results_.Abort(shutdown);
+    for (Request& r : summaries_.Abort(shutdown)) {
+      followers.push_back(std::move(r));
+    }
+    plans_.Abort(shutdown);
+    registrations_.Abort(shutdown);
   }
-  const Status shutdown = Status::Cancelled("server shutting down");
   for (Request& request : dropped) {
-    std::vector<Waiter> waiters;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = cache_.find(request.key);
-      if (it != cache_.end() && !it->second.done) {
-        waiters.swap(it->second.waiters);
-        cache_.erase(it);
-      }
-    }
-    Respond(&request.promise,
-            ErrorResponse(shutdown, request.key, request.bundle->epoch,
-                          request.submit_time));
-    for (Waiter& w : waiters) {
-      Respond(&w.promise, ErrorResponse(shutdown, request.key,
-                                        request.bundle->epoch,
-                                        w.submit_time));
-    }
+    Reply(&request, shutdown, ResponseSource::kError);
+  }
+  for (Request& follower : followers) {
+    Reply(&follower, shutdown, ResponseSource::kError);
   }
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();

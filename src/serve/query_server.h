@@ -12,7 +12,7 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -21,6 +21,7 @@
 #include "core/plan.h"
 #include "serve/metrics.h"
 #include "serve/scenario_registry.h"
+#include "serve/single_flight.h"
 #include "summarize/summarize.h"
 
 namespace cdi::serve {
@@ -78,7 +79,10 @@ struct CdiQuery {
   /// core::PipelineOptionsFingerprint).
   std::optional<core::PipelineOptions> options;
   /// Relative deadline in seconds from submission (covers queueing AND
-  /// execution); <= 0 means no deadline.
+  /// execution); <= 0 means no deadline. A request coalesced onto an
+  /// identical in-flight one is held to its own deadline too: when the
+  /// shared outcome lands past it, the request gets kDeadlineExceeded
+  /// (checked at that moment; no timer answers it earlier).
   double timeout_seconds = 0.0;
 };
 
@@ -90,23 +94,38 @@ enum class ResponseSource {
   kCoalesced  ///< waited on an identical in-flight computation
 };
 
+/// What an OK response serves: the full-pipeline result (kFull), the
+/// planned pair answer (kPlanned) or the summary artifact (kSummarize).
+/// Shared and immutable: identical queries may receive the *same* pointer
+/// (memoization is by reference). std::monostate on error.
+using Payload = std::variant<std::monostate,
+                             std::shared_ptr<const core::PipelineResult>,
+                             std::shared_ptr<const core::PairAnswer>,
+                             std::shared_ptr<const SummaryArtifact>>;
+
 struct QueryResponse {
   Status status;
-  /// Shared immutable full-pipeline result (QueryMode::kFull); null on
-  /// error and for planned-mode responses. Identical queries may receive
-  /// the *same* pointer (memoization is by reference).
-  std::shared_ptr<const core::PipelineResult> result;
-  /// Shared planned answer (QueryMode::kPlanned); null on error and for
-  /// full-mode responses.
-  std::shared_ptr<const core::PairAnswer> planned;
-  /// Shared summary artifact (QueryMode::kSummarize); null otherwise.
-  std::shared_ptr<const SummaryArtifact> summary;
+  Payload payload;
   ResponseSource source = ResponseSource::kError;
   /// Single-flight cache key: hash of (scenario epoch, T, O, options
   /// fingerprint). 0 when the request failed before key computation.
   std::uint64_t cache_key = 0;
   std::uint64_t scenario_epoch = 0;
   double latency_seconds = 0.0;
+
+  /// Typed views of `payload`: null unless it holds that kind.
+  const core::PipelineResult* result() const {
+    return Get<core::PipelineResult>();
+  }
+  const core::PairAnswer* planned() const { return Get<core::PairAnswer>(); }
+  const SummaryArtifact* summary() const { return Get<SummaryArtifact>(); }
+
+ private:
+  template <typename T>
+  const T* Get() const {
+    const auto* p = std::get_if<std::shared_ptr<const T>>(&payload);
+    return p != nullptr ? p->get() : nullptr;
+  }
 };
 
 struct QueryServerOptions {
@@ -139,32 +158,34 @@ struct QueryServerOptions {
 ///
 /// Requests flow: admission (resolve scenario snapshot, validate the
 /// query against the bundle's shared sufficient statistics, consult the
-/// result cache) -> bounded FIFO queue -> worker pool -> pipeline run
-/// with a per-request CancelToken -> response.
+/// cache) -> bounded FIFO queue -> worker pool -> pipeline run with a
+/// per-request CancelToken -> response.
 ///
-/// Single-flight result cache: the cache entry for a key is claimed
-/// *pending* at admission, so any identical query arriving while the
-/// first is queued or running attaches to it as a waiter instead of
-/// enqueueing a duplicate execution; all of them receive the same shared
-/// PipelineResult. Completed entries serve subsequent identical queries
-/// at submit time without touching the queue. A failed execution (error,
-/// deadline) evicts its pending entry and propagates the error to its
-/// waiters — the cache never stores a failure, so the next identical
-/// query recomputes cleanly.
+/// Four cache tiers, one mechanism: each tier is a SingleFlightCache
+/// (serve/single_flight.h) and so shares its claim / follow / publish /
+/// evict-on-failure / epoch-sweep contract.
+///   - results: one answer per query key (kFull, kPlanned);
+///   - summaries: one rendered summary per (scenario, epoch, k, options);
+///   - plans: one C-DAG artifact per (scenario, epoch, options), built by
+///     the first planned or summarize request and reused by later ones;
+///   - registrations: one RegisterScenario build per name (the registry,
+///     not the cache, keeps the outcome).
+/// Result and summary keys are claimed at admission, so an identical
+/// query arriving while the first is queued or running follows it instead
+/// of enqueueing a duplicate, and a completed entry is served at submit
+/// time without touching the queue. These followers never block: the
+/// leader answers them when it publishes, and a follower whose own
+/// deadline has passed by then gets kDeadlineExceeded. Plan and
+/// registration followers block on the leader, plan followers only until
+/// their own deadline. Failures are never cached. The result, summary and
+/// plan tiers are epoch-aware: the first touch under a scenario's new
+/// epoch (Replace, UpdateScenario, eviction) drops the older epochs' done
+/// entries, and an outcome that completes under a superseded epoch
+/// answers its followers but is not retained.
 ///
 /// Every pipeline stage is bitwise-deterministic, so a served result is
 /// bitwise-identical to a direct Pipeline::Run of the same query
 /// regardless of worker count, cache state, or coalescing.
-///
-/// Two-tier cache: alongside the per-query result cache, a scenario-level
-/// plan cache holds one C-DAG artifact per (scenario, epoch, options) —
-/// built once under single-flight by the first QueryMode::kPlanned query
-/// and reused by every subsequent planned pair query on that scenario
-/// (identification + sufficient-statistics effect estimation, no
-/// rediscovery). Both tiers are epoch-aware: when a registry Replace
-/// bumps a scenario's epoch, the first touch under the new epoch evicts
-/// every done entry of the superseded epochs, so churn keeps both caches
-/// bounded and no stale-epoch result is ever retained.
 class QueryServer {
  public:
   /// Builds (or loads) a scenario for RegisterScenario. Runs on the
@@ -229,70 +250,40 @@ class QueryServer {
   Status UnregisterScenario(const std::string& name);
 
   /// Counters plus current cache-size gauges (result_cache_entries /
-  /// plan_cache_entries, read under the server lock) and the registry's
-  /// registration/eviction counters and byte gauges.
+  /// plan_cache_entries / summary_cache_entries, read under the server
+  /// lock) and the registry's registration/eviction counters and byte
+  /// gauges.
   MetricsSnapshot Metrics() const;
 
-  /// Drops completed result-cache entries (pending single-flight claims
-  /// stay — they carry waiters). The scenario plan cache is untouched:
+  /// Drops completed result and summary entries (pending flights stay —
+  /// they carry followers). The scenario plan cache is untouched:
   /// plans are evicted by epoch supersession, and keeping them warm is
   /// what makes this the "result cache cold, C-DAG warm" benchmark knob.
   /// Returns the number of entries dropped.
   std::size_t InvalidateCache();
 
-  /// Stops accepting work, fails queued requests with kCancelled, signals
-  /// in-flight runs' cancel tokens, and joins the workers. Idempotent.
+  /// Stops accepting work, fails queued requests and every follower with
+  /// kCancelled, signals in-flight runs' cancel tokens, and joins the
+  /// workers. Idempotent.
   void Shutdown();
 
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct Waiter {
-    std::promise<QueryResponse> promise;
-    Clock::time_point submit_time;
-  };
-
-  struct CacheEntry {
-    bool done = false;
-    std::shared_ptr<const core::PipelineResult> result;  // full mode, done
-    std::shared_ptr<const core::PairAnswer> planned;  // planned mode, done
-    std::shared_ptr<const SummaryArtifact> summary;  // summarize mode, done
-    /// True for summarize-mode entries from the moment they are claimed
-    /// (pending included) — drives the summary_cache_entries gauge.
-    bool is_summary = false;
-    std::vector<Waiter> waiters;  // attached while pending
-    /// Scenario + epoch the entry answers for: stale-epoch eviction scans
-    /// these when a registry Replace supersedes an epoch.
-    std::string scenario;
-    std::uint64_t epoch = 0;
-  };
-
-  /// Single-flight slot for a scenario's C-DAG plan artifact. Held by
-  /// shared_ptr so waiters blocked on a build keep the slot alive even
-  /// after a failed build is evicted from the map.
-  struct PlanEntry {
-    bool done = false;
-    Status status;  // meaningful when done; failures are also evicted
-    std::shared_ptr<const core::CdagPlan> plan;  // set when done && ok
-    std::string scenario;
-    std::uint64_t epoch = 0;
-  };
-
-  /// Single-flight slot for an in-progress RegisterScenario. Followers
-  /// hold the shared_ptr, so the slot outlives its map entry.
-  struct RegEntry {
-    bool done = false;
-    Status status;
-    std::shared_ptr<const ScenarioBundle> bundle;
-  };
+  struct Request;
+  /// Result and summary tiers: followers are coalesced requests, answered
+  /// when their leader publishes.
+  using AnswerCache = SingleFlightCache<std::uint64_t, Payload, Request>;
 
   struct Request {
     CdiQuery query;
     std::shared_ptr<const ScenarioBundle> bundle;
     std::uint64_t key = 0;
     Clock::time_point submit_time;
-    Clock::time_point deadline;  // Clock::time_point::max() = none
+    Clock::time_point deadline = Clock::time_point::max();  // max = none
     std::promise<QueryResponse> promise;
+    /// Leaders only: the claimed flight their outcome publishes into.
+    std::shared_ptr<AnswerCache::Flight> flight;
   };
 
   /// Admission-time validation against the bundle's shared statistics.
@@ -300,48 +291,63 @@ class QueryServer {
                        const CdiQuery& query) const;
 
   void WorkerLoop();
+  /// Runs a leader, publishes its outcome and answers it and its
+  /// followers.
   void ExecuteRequest(Request request);
+  /// The leader's payload for its query mode.
+  Result<Payload> Compute(const Request& request, CancelToken* token);
 
-  /// Records `epoch` as the latest seen for `scenario` and, when it
-  /// supersedes an older one, evicts every done cache / plan entry of the
-  /// older epochs (the stale-epoch leak fix: Replace'd bundles' results
-  /// must not be retained forever). Caller holds mu_.
+  AnswerCache& CacheFor(QueryMode mode) {
+    return mode == QueryMode::kSummarize ? summaries_ : results_;
+  }
+
+  /// Records `epoch` as the latest for `scenario` and, when it supersedes
+  /// an older one, sweeps every epoch-aware tier: done entries of older
+  /// epochs are evicted (the stale-epoch leak fix: Replace'd bundles'
+  /// results must not be retained forever). Caller holds mu_.
   void EvictStaleLocked(const std::string& scenario, std::uint64_t epoch);
 
-  /// Resolves the scenario's C-DAG plan for a planned request:
-  /// single-flight per (scenario, epoch, options) — the first request
-  /// builds the artifact (one full canonical-pair pipeline run + plan
-  /// construction) on its worker; concurrent planned requests block on
-  /// plan_ready_ until the build completes (observing their own
-  /// deadlines). A failed build propagates to current waiters and is
-  /// evicted so the next planned query rebuilds cleanly.
+  /// One pipeline run for `request`'s bundle and options on the given
+  /// pair; `warm` seeds discovery with the bundle's warm-start edges.
+  Result<core::PipelineResult> RunPipeline(const Request& request,
+                                           const std::string& exposure,
+                                           const std::string& outcome,
+                                           bool warm,
+                                           CancelToken* token) const;
+
+  /// Resolves the scenario's C-DAG plan for a planned or summarize
+  /// request through the plan tier: the first request builds the artifact
+  /// (one full canonical-pair pipeline run + plan construction) on its
+  /// worker; concurrent ones wait for it up to their own deadlines.
   Result<std::shared_ptr<const core::CdagPlan>> GetOrBuildPlan(
       const Request& request, CancelToken* token);
 
-  /// Fulfills one promise and bumps the per-response counters.
-  void Respond(std::promise<QueryResponse>* promise, QueryResponse response);
-  QueryResponse ErrorResponse(Status status, std::uint64_t key,
-                              std::uint64_t epoch,
-                              Clock::time_point submit_time) const;
+  /// Fulfills the request's promise with `outcome` and bumps the
+  /// per-response counters.
+  void Reply(Request* request, Result<Payload> outcome,
+             ResponseSource source);
 
   ScenarioRegistry* registry_;
   QueryServerOptions options_;
   mutable ServerMetrics metrics_;
 
+  /// Guards the queue, the four cache tiers, the active tokens and the
+  /// stop flag.
   mutable std::mutex mu_;
   std::condition_variable work_ready_;
-  /// Signalled when a plan build completes (success or failure).
-  std::condition_variable plan_ready_;
-  /// Signalled when a single-flight registration completes.
-  std::condition_variable reg_ready_;
   std::deque<Request> queue_;
-  /// In-progress RegisterScenario slots, by scenario name.
-  std::unordered_map<std::string, std::shared_ptr<RegEntry>> pending_reg_;
-  std::unordered_map<std::uint64_t, CacheEntry> cache_;
-  /// Scenario-level C-DAG plan artifacts, keyed by PlanCacheKey.
-  std::unordered_map<std::uint64_t, std::shared_ptr<PlanEntry>> plan_cache_;
-  /// Latest bundle epoch observed per scenario (drives stale eviction).
-  std::unordered_map<std::string, std::uint64_t> latest_epoch_;
+  /// Latest bundle epoch seen per scenario, shared by the three
+  /// epoch-aware tiers.
+  EpochTable epochs_;
+  AnswerCache results_{/*retain=*/true, &epochs_, &metrics_.evicted_stale};
+  AnswerCache summaries_{/*retain=*/true, &epochs_,
+                         &metrics_.evicted_stale};
+  /// Keyed by PlanCacheKey.
+  SingleFlightCache<std::uint64_t, std::shared_ptr<const core::CdagPlan>>
+      plans_{/*retain=*/true, &epochs_, &metrics_.evicted_stale};
+  /// Keyed by scenario name.
+  SingleFlightCache<std::string, std::shared_ptr<const ScenarioBundle>>
+      registrations_{/*retain=*/false};
   /// Cancel tokens of currently-executing requests (for Shutdown).
   std::vector<CancelToken*> active_tokens_;
   bool stopping_ = false;

@@ -38,9 +38,7 @@ namespace cdi::stats {
 /// atomics). Cache *content* is a pure function of the key — no entry is
 /// ever derived via downdating or any arithmetic that depends on cache
 /// history — so concurrent interleavings and evictions can only change
-/// speed, never a value. (CholeskyDowndate / CholeskyRemoveVariable
-/// exist for callers with tolerance contracts; they are deliberately
-/// never used to populate this cache.)
+/// speed, never a value.
 class FactorCache {
  public:
   /// A cached lower-triangular factor of base[s, s] + ridge·I, stored

@@ -57,92 +57,6 @@ Result<std::vector<double>> CholeskySolve(const Matrix& a,
   return x;
 }
 
-Status CholeskyUpdate(Matrix* l, std::vector<double> v) {
-  if (l == nullptr || l->rows() != l->cols()) {
-    return Status::InvalidArgument("CholeskyUpdate needs a square factor");
-  }
-  const std::size_t n = l->rows();
-  if (v.size() != n) return Status::InvalidArgument("vector size mismatch");
-  for (std::size_t k = 0; k < n; ++k) {
-    const double lkk = (*l)(k, k);
-    if (lkk <= 0.0) {
-      return Status::FailedPrecondition("invalid Cholesky factor");
-    }
-    const double r = std::sqrt(lkk * lkk + v[k] * v[k]);
-    const double c = r / lkk;
-    const double s = v[k] / lkk;
-    (*l)(k, k) = r;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      (*l)(i, k) = ((*l)(i, k) + s * v[i]) / c;
-      v[i] = c * v[i] - s * (*l)(i, k);
-    }
-  }
-  return Status::OK();
-}
-
-Status CholeskyDowndate(Matrix* l, std::vector<double> v) {
-  if (l == nullptr || l->rows() != l->cols()) {
-    return Status::InvalidArgument("CholeskyDowndate needs a square factor");
-  }
-  const std::size_t n = l->rows();
-  if (v.size() != n) return Status::InvalidArgument("vector size mismatch");
-  for (std::size_t k = 0; k < n; ++k) {
-    const double lkk = (*l)(k, k);
-    if (lkk <= 0.0) {
-      return Status::FailedPrecondition("invalid Cholesky factor");
-    }
-    const double r2 = lkk * lkk - v[k] * v[k];
-    if (r2 <= 0.0) {
-      return Status::FailedPrecondition(
-          "downdated matrix is not positive definite (pivot " +
-          std::to_string(r2) + " at " + std::to_string(k) + ")");
-    }
-    const double r = std::sqrt(r2);
-    const double c = r / lkk;
-    const double s = v[k] / lkk;
-    (*l)(k, k) = r;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      (*l)(i, k) = ((*l)(i, k) - s * v[i]) / c;
-      v[i] = c * v[i] - s * (*l)(i, k);
-    }
-  }
-  return Status::OK();
-}
-
-Result<Matrix> CholeskyRemoveVariable(const Matrix& l, std::size_t q) {
-  if (l.rows() != l.cols()) {
-    return Status::InvalidArgument("CholeskyRemoveVariable needs a square factor");
-  }
-  const std::size_t n = l.rows();
-  if (q >= n) return Status::InvalidArgument("variable index out of range");
-  if (n == 1) return Status::InvalidArgument("cannot remove the only variable");
-  // Rows before q factor the leading principal block, which deleting q
-  // leaves untouched. The trailing block's factor T satisfies
-  // T T^T = L33 L33^T + l32 l32^T, where l32 is the dropped column below
-  // the diagonal — a rank-1 update.
-  const std::size_t t = n - 1 - q;
-  Matrix out(n - 1, n - 1);
-  for (std::size_t i = 0; i < q; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) out(i, j) = l(i, j);
-  }
-  for (std::size_t i = q + 1; i < n; ++i) {
-    for (std::size_t j = 0; j < q; ++j) out(i - 1, j) = l(i, j);
-  }
-  if (t > 0) {
-    Matrix trail(t, t);
-    std::vector<double> dropped(t);
-    for (std::size_t i = 0; i < t; ++i) {
-      dropped[i] = l(q + 1 + i, q);
-      for (std::size_t j = 0; j <= i; ++j) trail(i, j) = l(q + 1 + i, q + 1 + j);
-    }
-    CDI_RETURN_IF_ERROR(CholeskyUpdate(&trail, std::move(dropped)));
-    for (std::size_t i = 0; i < t; ++i) {
-      for (std::size_t j = 0; j <= i; ++j) out(q + i, q + j) = trail(i, j);
-    }
-  }
-  return out;
-}
-
 Result<std::vector<double>> SolveLinear(const Matrix& a,
                                         const std::vector<double>& b) {
   if (a.rows() != a.cols()) {

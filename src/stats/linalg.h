@@ -24,31 +24,6 @@ Result<Matrix> Cholesky(const Matrix& a);
 Result<std::vector<double>> CholeskySolve(const Matrix& a,
                                           const std::vector<double>& b);
 
-/// Rank-1 Cholesky update: given the lower-triangular factor L of A,
-/// overwrites it with the factor of A + v v^T in O(n^2) (LINPACK dchud
-/// Givens sweep). Consumes `v` as scratch. Fails (leaving *l partially
-/// updated) only when L has a non-positive diagonal, i.e. was not a
-/// valid factor.
-Status CholeskyUpdate(Matrix* l, std::vector<double> v);
-
-/// Rank-1 Cholesky downdate: factor of A - v v^T in O(n^2) (LINPACK
-/// dchdd hyperbolic sweep). Fails — leaving *l partially updated — when
-/// the downdated matrix is not positive definite. Unlike the
-/// prefix-extension path in FactorCache, a downdate reorganizes the
-/// arithmetic, so the result matches a from-scratch factorization only
-/// to rounding (tests pin ~1e-10 relative); callers with a bitwise
-/// contract must refactor instead.
-Status CholeskyDowndate(Matrix* l, std::vector<double> v);
-
-/// Factor of A with variable `q` deleted, computed from A's factor `l`
-/// without touching A: rows above/left of q are reused verbatim and the
-/// trailing block is rank-1-updated with the dropped column (the classic
-/// "remove a variable from a Cholesky" identity) — O((n-q)^2) instead of
-/// O((n-q)^3). Same rounding caveat as CholeskyDowndate. This is the
-/// edge-removal path of the batched CI engine: shrinking a conditioning
-/// set or parent set by one variable.
-Result<Matrix> CholeskyRemoveVariable(const Matrix& l, std::size_t q);
-
 /// Solves A x = b by Gaussian elimination with partial pivoting
 /// (general square A). Fails on (numerically) singular input.
 Result<std::vector<double>> SolveLinear(const Matrix& a,

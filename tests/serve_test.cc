@@ -325,7 +325,7 @@ TEST(QueryServerTest, RejectsInvalidQueriesAtAdmission) {
   auto unknown = server.Execute(
       [] { auto q = Query("a", "b"); q.scenario = "nope"; return q; }());
   EXPECT_EQ(unknown.status.code(), StatusCode::kNotFound);
-  EXPECT_EQ(unknown.result, nullptr);
+  EXPECT_EQ(unknown.result(), nullptr);
   EXPECT_EQ(unknown.source, ResponseSource::kError);
 
   // The entity column is rejected O(1) at admission for either role, with
@@ -391,7 +391,7 @@ TEST(QueryServerTest, ServedBitwiseEqualsDirectRunAtOneAndEightWorkers) {
     for (std::size_t i = 0; i < futures.size(); ++i) {
       auto response = futures[i].get();
       ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-      EXPECT_EQ(FormatResultPayload(*response.result), expected[i])
+      EXPECT_EQ(FormatResultPayload(*response.result()), expected[i])
           << "workers=" << workers << " query " << i;
     }
 
@@ -400,7 +400,7 @@ TEST(QueryServerTest, ServedBitwiseEqualsDirectRunAtOneAndEightWorkers) {
       auto response = server.Execute(queries[i]);
       ASSERT_TRUE(response.status.ok());
       EXPECT_EQ(response.source, ResponseSource::kCacheHit);
-      EXPECT_EQ(FormatResultPayload(*response.result), expected[i]);
+      EXPECT_EQ(FormatResultPayload(*response.result()), expected[i]);
     }
 
     const auto metrics = server.Metrics();
@@ -465,9 +465,9 @@ TEST(QueryServerTest, PlannedSweepMatchesFreshPlanOnBothScenarios) {
           ASSERT_TRUE(response.status.ok())
               << name << " workers=" << workers << " pair " << i << ": "
               << response.status.ToString();
-          ASSERT_NE(response.planned, nullptr);
-          EXPECT_EQ(response.result, nullptr);
-          EXPECT_EQ(FormatPairAnswerPayload(*response.planned),
+          ASSERT_NE(response.planned(), nullptr);
+          EXPECT_EQ(response.result(), nullptr);
+          EXPECT_EQ(FormatPairAnswerPayload(*response.planned()),
                     expected[i].payload)
               << name << " workers=" << workers << " pair " << i;
         } else {
@@ -522,7 +522,7 @@ TEST(QueryServerTest, ConcurrentPlannedFirstQueriesBuildPlanOnce) {
     auto response = f.get();
     if (response.status.ok()) {
       ++ok;
-      EXPECT_NE(response.planned, nullptr);
+      EXPECT_NE(response.planned(), nullptr);
     } else {
       // Same-cluster pairs are legitimately unanswerable off the C-DAG.
       EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
@@ -603,7 +603,7 @@ TEST(QueryServerTest, EpochChurnKeepsCachesBoundedAndServesFreshResults) {
       auto answer = fresh.AnswerPair(t, o);
       if (answer.ok()) {
         ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-        EXPECT_EQ(FormatPairAnswerPayload(*response.planned),
+        EXPECT_EQ(FormatPairAnswerPayload(*response.planned()),
                   FormatPairAnswerPayload(*answer))
             << t << " -> " << o;
         EXPECT_EQ(response.scenario_epoch, (*final_bundle)->epoch);
@@ -623,9 +623,9 @@ TEST(QueryServerTest, EpochChurnKeepsCachesBoundedAndServesFreshResults) {
     auto direct = summarize::SummarizeClusterDag(final_cdag, sopts);
     if (direct.ok()) {
       ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-      ASSERT_NE(response.summary, nullptr);
-      EXPECT_EQ(response.summary->dot, direct->ToDot()) << "k=" << k;
-      EXPECT_EQ(response.summary->json, direct->ToJson()) << "k=" << k;
+      ASSERT_NE(response.summary(), nullptr);
+      EXPECT_EQ(response.summary()->dot, direct->ToDot()) << "k=" << k;
+      EXPECT_EQ(response.summary()->json, direct->ToJson()) << "k=" << k;
       EXPECT_EQ(response.scenario_epoch, (*final_bundle)->epoch);
     } else {
       EXPECT_EQ(response.status.code(), direct.status().code()) << "k=" << k;
@@ -642,6 +642,37 @@ TEST(QueryServerTest, EpochChurnKeepsCachesBoundedAndServesFreshResults) {
   EXPECT_LE(metrics.summary_cache_entries, 3u);
   EXPECT_LE(metrics.plan_cache_entries, 2u);
   EXPECT_GE(metrics.plan_builds, 1u);
+}
+
+/// A planned query whose scenario is unregistered while it runs: both the
+/// plan and the answer complete under a superseded epoch, so neither is
+/// retained, and each drop counts as a stale eviction.
+TEST(QueryServerTest, OutcomesDroppedAtCompletionCountAsStaleEvictions) {
+  ScenarioRegistry registry;
+  auto bundle = *registry.Register("covid", BuildCovid());
+  const auto& attrs = bundle->numeric_attributes;
+
+  Gate gate;
+  QueryServerOptions options;
+  options.num_workers = 1;
+  options.pre_execute_hook = [&gate] { gate.Arrive(); };
+  QueryServer server(&registry, options);
+
+  auto q = Query(attrs[0], attrs[1]);
+  q.mode = QueryMode::kPlanned;
+  auto planned = server.Submit(q);
+  gate.WaitForArrivals(1);  // claimed, not yet built
+  ASSERT_TRUE(server.UnregisterScenario("covid").ok());
+  gate.Open();
+
+  const auto response = planned.get();
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_EQ(response.source, ResponseSource::kExecuted);
+  const auto metrics = server.Metrics();
+  EXPECT_EQ(metrics.plan_builds, 1u);
+  EXPECT_EQ(metrics.evicted_stale, 2u);  // the plan and the answer
+  EXPECT_EQ(metrics.plan_cache_entries, 0u);
+  EXPECT_EQ(metrics.result_cache_entries, 0u);
 }
 
 // --------------------------------------- Summaries (QueryMode::kSummarize)
@@ -695,10 +726,10 @@ TEST(QueryServerTest, SummarizeServedBitwiseEqualsDirectBuildAtOneAndEightWorker
         ASSERT_TRUE(response.status.ok())
             << "workers=" << workers << " k=" << queries[i].summarize_k
             << ": " << response.status.ToString();
-        ASSERT_NE(response.summary, nullptr);
-        EXPECT_EQ(response.summary->dot, expected[i].dot)
+        ASSERT_NE(response.summary(), nullptr);
+        EXPECT_EQ(response.summary()->dot, expected[i].dot)
             << "workers=" << workers << " k=" << queries[i].summarize_k;
-        EXPECT_EQ(response.summary->json, expected[i].json)
+        EXPECT_EQ(response.summary()->json, expected[i].json)
             << "workers=" << workers << " k=" << queries[i].summarize_k;
       } else {
         EXPECT_EQ(response.status.code(), expected[i].code)
@@ -716,9 +747,9 @@ TEST(QueryServerTest, SummarizeServedBitwiseEqualsDirectBuildAtOneAndEightWorker
         auto response = server.Execute(q);
         ASSERT_TRUE(response.status.ok());
         EXPECT_EQ(response.source, ResponseSource::kCacheHit);
-        EXPECT_EQ(FormatSummaryPayload(*response.summary, format),
+        EXPECT_EQ(FormatSummaryPayload(*response.summary(), format),
                   FormatSummaryPayload(
-                      SummaryArtifact{response.summary->summary,
+                      SummaryArtifact{response.summary()->summary,
                                       expected[i].dot, expected[i].json},
                       format));
       }
@@ -755,8 +786,8 @@ TEST(QueryServerTest, ConcurrentIdenticalSummariesBuildOnce) {
   for (auto& f : futures) {
     auto response = f.get();
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    ASSERT_NE(response.summary, nullptr);
-    fingerprints.insert(SummaryFingerprint(*response.summary));
+    ASSERT_NE(response.summary(), nullptr);
+    fingerprints.insert(SummaryFingerprint(*response.summary()));
   }
   EXPECT_EQ(fingerprints.size(), 1u);
   const auto metrics = server.Metrics();
@@ -837,7 +868,7 @@ TEST(QueryServerTest, ConcurrentIdenticalQueriesExecuteOnce) {
     ASSERT_TRUE(response.status.ok());
     EXPECT_EQ(response.source, ResponseSource::kCoalesced);
     // Memoization is by reference: the identical shared result object.
-    EXPECT_EQ(response.result.get(), lead.result.get());
+    EXPECT_EQ(response.result(), lead.result());
   }
 
   const auto metrics = server.Metrics();
@@ -907,7 +938,7 @@ TEST(QueryServerTest, QueuedPastDeadlineFailsWithoutCorruptingCache) {
   EXPECT_TRUE(a.get().status.ok());
   auto expired = b.get();
   EXPECT_EQ(expired.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(expired.result, nullptr);
+  EXPECT_EQ(expired.result(), nullptr);
 
   // The failed request's pending cache claim was evicted, never stored:
   // the same query without a deadline recomputes cleanly...
@@ -922,7 +953,7 @@ TEST(QueryServerTest, QueuedPastDeadlineFailsWithoutCorruptingCache) {
   auto direct = pipeline.Run(sc.input_table, sc.spec.entity_column,
                              attrs[1], attrs[2]);
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(FormatResultPayload(*retry.result),
+  EXPECT_EQ(FormatResultPayload(*retry.result()),
             FormatResultPayload(*direct));
 
   const auto metrics = server.Metrics();
@@ -949,11 +980,49 @@ TEST(QueryServerTest, MidExecutionDeadlineCancelsThePipelineRun) {
 
   auto expired = server.Execute(Query(attrs[0], attrs[1], /*timeout=*/0.005));
   EXPECT_EQ(expired.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(expired.result, nullptr);
+  EXPECT_EQ(expired.result(), nullptr);
 
   auto retry = server.Execute(Query(attrs[0], attrs[1]));
   ASSERT_TRUE(retry.status.ok()) << retry.status.ToString();
   EXPECT_EQ(retry.source, ResponseSource::kExecuted);
+}
+
+/// A request coalesced onto an in-flight leader is held to its own
+/// deadline: when the shared outcome lands after it, the follower fails
+/// with kDeadlineExceeded, while the leader's result is served and cached.
+TEST(QueryServerTest, CoalescedFollowerPastItsDeadlineFails) {
+  ScenarioRegistry registry;
+  auto bundle = *registry.Register("covid", BuildCovid());
+  const auto& attrs = bundle->numeric_attributes;
+
+  Gate gate;
+  QueryServerOptions options;
+  options.num_workers = 1;
+  options.pre_execute_hook = [&gate] { gate.Arrive(); };
+  QueryServer server(&registry, options);
+
+  auto leader = server.Submit(Query(attrs[0], attrs[1]));
+  gate.WaitForArrivals(1);
+  auto follower = server.Submit(Query(attrs[0], attrs[1], /*timeout=*/0.01));
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  gate.Open();
+
+  const auto lead = leader.get();
+  ASSERT_TRUE(lead.status.ok()) << lead.status.ToString();
+  EXPECT_EQ(lead.source, ResponseSource::kExecuted);
+  const auto late = follower.get();
+  EXPECT_EQ(late.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(late.source, ResponseSource::kError);
+  EXPECT_EQ(late.result(), nullptr);
+  EXPECT_EQ(server.Execute(Query(attrs[0], attrs[1])).source,
+            ResponseSource::kCacheHit);
+
+  const auto metrics = server.Metrics();
+  EXPECT_EQ(metrics.coalesced, 1u);
+  EXPECT_EQ(metrics.executions, 1u);
+  EXPECT_EQ(metrics.deadline_exceeded, 1u);
+  EXPECT_EQ(metrics.failed, 1u);
+  EXPECT_EQ(metrics.served, 2u);
 }
 
 // -------------------------------------------------------------- Shutdown
@@ -1054,7 +1123,7 @@ TEST(QueryServerTest, UpdateScenarioServesFreshAnswersAndStashesWarmEdges) {
     auto direct = pipeline.Run(*(*updated)->input, sc.spec.entity_column,
                                attrs[0], attrs[1]);
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-    EXPECT_EQ(FormatResultPayload(*after.result),
+    EXPECT_EQ(FormatResultPayload(*after.result()),
               FormatResultPayload(*direct));
   }
 
@@ -1304,7 +1373,7 @@ TEST(LineProtocolTest, SummarizeResponseLineCarriesModeAndPayload) {
   EXPECT_NE(line.find("payload=\""), std::string::npos) << line;
   // The DOT rendering is multi-line; the escaping must keep the protocol
   // single-line and the raw bytes must not leak through unescaped.
-  EXPECT_NE(response.summary->dot.find('\n'), std::string::npos);
+  EXPECT_NE(response.summary()->dot.find('\n'), std::string::npos);
   EXPECT_NE(line.find("\\n"), std::string::npos) << line;
 
   // Budgets past the DAG size fail at execution, naming the size.
@@ -1714,8 +1783,8 @@ TEST(QueryServerTest, UnregisterSweepsOnlyThatScenariosCacheEntries) {
   const auto flights_again = server.Execute(flights_q);
   ASSERT_TRUE(flights_again.status.ok());
   EXPECT_EQ(flights_again.source, ResponseSource::kCacheHit);
-  EXPECT_EQ(FormatResultPayload(*flights_again.result),
-            FormatResultPayload(*flights_first.result));
+  EXPECT_EQ(FormatResultPayload(*flights_again.result()),
+            FormatResultPayload(*flights_first.result()));
 
   // The covid name rejects descriptively; unregistering twice says why.
   const auto miss = server.Execute(covid_q).status;
@@ -1802,7 +1871,7 @@ TEST(QueryServerTest, ConcurrentRegisterUnregisterQueryRacesStayCoherent) {
             q.outcome = "outcome_score";
             const auto response = server.Execute(q);
             if (response.status.ok()) {
-              if (FormatResultPayload(*response.result) != expected[pick]) {
+              if (FormatResultPayload(*response.result()) != expected[pick]) {
                 torn.fetch_add(1);
               }
             } else if (response.status.code() != StatusCode::kNotFound) {

@@ -1309,65 +1309,6 @@ TEST(GramKernelTest, AppendPathsBitwiseIdenticalPerBackend) {
   }
 }
 
-// ------------------------------------------ Cholesky updates / factors
-
-TEST(LinalgTest, CholeskyUpdateMatchesRefactorization) {
-  Rng rng(401);
-  const std::size_t n = 8;
-  auto data = NoisyData(n, 200, 0.0, 403);
-  NumericDataset ds;
-  ds.columns = cdi::SpansOf(data);
-  auto stats = SufficientStats::Compute(ds);
-  ASSERT_TRUE(stats.ok());
-  Matrix a = stats->Covariance();
-  auto l = Cholesky(a);
-  ASSERT_TRUE(l.ok());
-  std::vector<double> v(n);
-  for (auto& x : v) x = rng.Normal();
-  Matrix updated = *l;
-  ASSERT_TRUE(CholeskyUpdate(&updated, v).ok());
-  Matrix a_plus = a;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) a_plus(i, j) += v[i] * v[j];
-  }
-  auto ref = Cholesky(a_plus);
-  ASSERT_TRUE(ref.ok());
-  EXPECT_LT(updated.MaxAbsDiff(*ref), 1e-10);
-
-  // Downdating the update lands back on the original factor (to
-  // rounding — the doc'd tolerance contract, not bitwise).
-  Matrix roundtrip = updated;
-  ASSERT_TRUE(CholeskyDowndate(&roundtrip, v).ok());
-  EXPECT_LT(roundtrip.MaxAbsDiff(*l), 1e-9);
-
-  // Downdating by more than the matrix holds must fail, not NaN out.
-  std::vector<double> huge(n, 1e6);
-  Matrix doomed = *l;
-  EXPECT_FALSE(CholeskyDowndate(&doomed, huge).ok());
-}
-
-TEST(LinalgTest, CholeskyRemoveVariableMatchesSubmatrixFactor) {
-  auto data = NoisyData(7, 300, 0.0, 409);
-  NumericDataset ds;
-  ds.columns = cdi::SpansOf(data);
-  auto stats = SufficientStats::Compute(ds);
-  ASSERT_TRUE(stats.ok());
-  Matrix a = stats->Covariance();
-  auto l = Cholesky(a);
-  ASSERT_TRUE(l.ok());
-  for (std::size_t q : {std::size_t{0}, std::size_t{3}, std::size_t{6}}) {
-    auto removed = CholeskyRemoveVariable(*l, q);
-    ASSERT_TRUE(removed.ok()) << "q=" << q;
-    std::vector<std::size_t> keep;
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      if (i != q) keep.push_back(i);
-    }
-    auto ref = Cholesky(a.Submatrix(keep));
-    ASSERT_TRUE(ref.ok());
-    EXPECT_LT(removed->MaxAbsDiff(*ref), 1e-10) << "q=" << q;
-  }
-}
-
 // ------------------------------------------------------- FactorCache
 
 /// Correlation matrix of a well-conditioned random dataset.

@@ -226,13 +226,13 @@ std::string ServedLine(const cdi::serve::QueryResponse& response,
     return std::string("error code=") +
            cdi::StatusCodeName(response.status.code());
   }
-  if (response.summary != nullptr) {
-    return cdi::serve::FormatSummaryPayload(*response.summary,
+  if (response.summary() != nullptr) {
+    return cdi::serve::FormatSummaryPayload(*response.summary(),
                                             summary_format);
   }
-  return response.planned != nullptr
-             ? cdi::serve::FormatPairAnswerPayload(*response.planned)
-             : cdi::serve::FormatResultPayload(*response.result);
+  return response.planned() != nullptr
+             ? cdi::serve::FormatPairAnswerPayload(*response.planned())
+             : cdi::serve::FormatResultPayload(*response.result());
 }
 
 /// A summarize-mode mix entry: budget k against `scenario`, formats

@@ -6,16 +6,16 @@ kernel, incremental append) plus the query-serving paths (cache hit,
 cache miss, single-flight coalescing, planned-query steady state, C-DAG
 artifact build, summarization build and cached-summary hit) with a short
 --benchmark_min_time, then compares per-benchmark cpu_time against the
-checked-in baseline
-(BENCH_PR10.json at the repo root). Exits non-zero when the benchmark
-binary crashes or any benchmark regresses by more than --max-regression
-(default 3x) — a deliberately loose bound that tolerates runner-to-runner
-variance while still catching algorithmic regressions (e.g. the blocked
-kernel silently falling back to a quadratic path).
+checked-in baseline (BENCH.json at the repo root, the one baseline
+file). Exits non-zero when the benchmark binary crashes or any benchmark
+regresses by more than --max-regression (default 3x) — a deliberately
+loose bound that tolerates runner-to-runner variance while still catching
+algorithmic regressions (e.g. the blocked kernel silently falling back to
+a quadratic path).
 
 Usage:
-  perf_smoke.py --bench build/bench/bench_micro [--baseline BENCH_PR10.json]
-  perf_smoke.py --bench build/bench/bench_micro --write-baseline BENCH_PR10.json
+  perf_smoke.py --bench build/bench/bench_micro [--baseline BENCH.json]
+  perf_smoke.py --bench build/bench/bench_micro --write-baseline BENCH.json
 """
 
 import argparse
@@ -78,7 +78,7 @@ def run_benchmarks(bench, min_time):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--bench", required=True, help="path to bench_micro")
-    ap.add_argument("--baseline", default="BENCH_PR10.json")
+    ap.add_argument("--baseline", default="BENCH.json")
     ap.add_argument("--write-baseline", metavar="PATH",
                     help="write the current run as the new baseline and exit")
     ap.add_argument("--max-regression", type=float, default=3.0)
