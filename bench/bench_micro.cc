@@ -261,15 +261,11 @@ void BM_FisherZPartialCorrelation(benchmark::State& state) {
 BENCHMARK(BM_FisherZPartialCorrelation);
 
 // PC's inner pattern — lexicographic subsets of one candidate pool as
-// conditioning sets — with the factor cache on (Arg = 1) vs per-query
-// from-scratch Cholesky (Arg = 0). Consecutive subsets share prefixes,
-// which is exactly what the cache extends; answers are bitwise equal.
-void BM_PartialCorrBatched(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
+// conditioning sets, each answered by one partial-correlation factor.
+void BM_PartialCorrSubsets(benchmark::State& state) {
   auto ds = cdi::stats::NumericDataset::Own(ChainData(20, 1000, 7));
   auto test = cdi::discovery::FisherZTest::Create(ds);
   CDI_CHECK(test.ok());
-  (*test)->set_batched(batched);
   const std::vector<std::size_t> pool = {2, 4, 5, 8, 9, 11, 13, 16};
   std::vector<std::size_t> cond(4);
   for (auto _ : state) {
@@ -287,15 +283,13 @@ void BM_PartialCorrBatched(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(sum);
   }
-  state.SetLabel(batched ? "batched" : "scratch");
 }
-BENCHMARK(BM_PartialCorrBatched)->Arg(0)->Arg(1);
+BENCHMARK(BM_PartialCorrSubsets);
 
 // Each variable loads on its three predecessors, so the skeleton keeps
 // edges through the low levels and PC runs many size-2..4 conditioning
-// sets — the regime the factor cache targets. A plain chain is useless
-// here: PC separates almost every pair at level 0/1, where there is no
-// factorization to reuse.
+// sets — the regime where every query factors a submatrix. A plain chain
+// separates almost every pair at level 0/1, where closed forms answer.
 std::vector<std::vector<double>> DenseData(std::size_t vars, std::size_t n,
                                            uint64_t seed) {
   Rng rng(seed);
@@ -312,12 +306,8 @@ std::vector<std::vector<double>> DenseData(std::size_t vars, std::size_t n,
   return cols;
 }
 
-// Full PC-stable skeleton with the batched CI engine on/off. The win
-// grows with the variable count: higher levels mean larger conditioning
-// sets, where re-factorizing from scratch is quadratically dearer than
-// extending a cached prefix.
-void BM_PcSkeletonBatched(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
+// Full PC-stable skeleton over the dense 30-variable data.
+void BM_PcSkeletonDense(benchmark::State& state) {
   const std::size_t vars = 30;
   auto ds = cdi::stats::NumericDataset::Own(DenseData(vars, 800, 9));
   std::vector<std::string> names;
@@ -326,14 +316,12 @@ void BM_PcSkeletonBatched(benchmark::State& state) {
   }
   auto test = cdi::discovery::FisherZTest::Create(ds);
   CDI_CHECK(test.ok());
-  (*test)->set_batched(batched);
   for (auto _ : state) {
     auto result = cdi::discovery::RunPc(**test, names);
     benchmark::DoNotOptimize(result->ci_tests);
   }
-  state.SetLabel(batched ? "batched" : "scratch");
 }
-BENCHMARK(BM_PcSkeletonBatched)->Arg(0)->Arg(1);
+BENCHMARK(BM_PcSkeletonDense);
 
 void BM_PcScaling(benchmark::State& state) {
   const auto vars = static_cast<std::size_t>(state.range(0));

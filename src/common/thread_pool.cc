@@ -86,31 +86,31 @@ void ParallelFor(ThreadPool* pool, std::size_t n,
   // mostly sub-microsecond, so a worker must receive tens of indices before
   // its wakeup cost pays for itself.
   constexpr std::size_t kMinPerWorker = 64;
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> live{0};
-  std::mutex mu;
-  std::condition_variable done;
   const std::size_t workers = std::min(
       UsableWorkers(*pool), std::max<std::size_t>(1, n / kMinPerWorker));
   if (workers <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  live.store(workers, std::memory_order_relaxed);
+  std::atomic<std::size_t> next{0};
+  // `live` is guarded by `mu`: the caller may return (destroying `mu` and
+  // `done`) as soon as it sees live == 0, so the last worker must not
+  // touch either after the decrement becomes visible.
+  std::size_t live = workers;
+  std::mutex mu;
+  std::condition_variable done;
   for (std::size_t w = 0; w < workers; ++w) {
     pool->Submit([&] {
       for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
            i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
         fn(i);
       }
-      if (live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::unique_lock<std::mutex> lock(mu);
-        done.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (--live == 0) done.notify_all();
     });
   }
   std::unique_lock<std::mutex> lock(mu);
-  done.wait(lock, [&] { return live.load(std::memory_order_acquire) == 0; });
+  done.wait(lock, [&] { return live == 0; });
 }
 
 void ParallelForRanges(
@@ -131,7 +131,7 @@ void ParallelForRanges(
       std::max(min_grain, (n + workers * 4 - 1) / (workers * 4));
   const std::size_t num_chunks = (n + chunk - 1) / chunk;
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> live{workers};
+  std::size_t live = workers;  // guarded by `mu`, as in ParallelFor
   std::mutex mu;
   std::condition_variable done;
   for (std::size_t w = 0; w < workers; ++w) {
@@ -141,14 +141,12 @@ void ParallelForRanges(
         const std::size_t begin = c * chunk;
         fn(begin, std::min(begin + chunk, n));
       }
-      if (live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::unique_lock<std::mutex> lock(mu);
-        done.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (--live == 0) done.notify_all();
     });
   }
   std::unique_lock<std::mutex> lock(mu);
-  done.wait(lock, [&] { return live.load(std::memory_order_acquire) == 0; });
+  done.wait(lock, [&] { return live == 0; });
 }
 
 }  // namespace cdi

@@ -175,10 +175,6 @@ Result<OrganizerResult> DataOrganizer::Organize(
     }
   }
 
-  // Diagnostic FD inventory over the cleaned table (never fails the run).
-  auto fds = FindApproximateFds(t, /*max_error=*/0.01);
-  if (fds.ok()) result.approximate_fds = std::move(*fds);
-
   result.organized = std::move(t);
   return result;
 }

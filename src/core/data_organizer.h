@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/fd.h"
 #include "table/table.h"
 
 namespace cdi::core {
@@ -51,9 +50,6 @@ struct OrganizerResult {
   /// Attributes whose outliers were winsorized (with cell counts).
   std::map<std::string, std::size_t> winsorized_cells;
   std::vector<MissingnessReport> missingness;
-  /// Approximate single-attribute FDs discovered in the organized table
-  /// (diagnostic; only exact FDs with the exposure/outcome trigger drops).
-  std::vector<FdCandidate> approximate_fds;
   /// Per-row IPW weights (all 1.0 when no selection bias was detected or
   /// IPW is disabled). Length == organized.num_rows().
   std::vector<double> row_weights;

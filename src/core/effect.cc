@@ -5,7 +5,6 @@
 
 #include "common/span.h"
 #include "stats/distributions.h"
-#include "stats/factor_cache.h"
 #include "stats/linalg.h"
 #include "stats/regression.h"
 
@@ -52,16 +51,8 @@ Result<EffectEstimate> EstimateEffect(const table::Table& t,
 Result<EffectEstimate> EstimateEffectFromStats(
     const stats::SufficientStats& stats,
     const std::vector<std::string>& names, const std::string& exposure,
-    const std::string& outcome, const std::vector<std::string>& adjustment) {
-  return EstimateEffectFromStats(stats, names, exposure, outcome, adjustment,
-                                 nullptr, nullptr);
-}
-
-Result<EffectEstimate> EstimateEffectFromStats(
-    const stats::SufficientStats& stats,
-    const std::vector<std::string>& names, const std::string& exposure,
     const std::string& outcome, const std::vector<std::string>& adjustment,
-    const stats::Matrix* corr, stats::FactorCache* fcache) {
+    const stats::Matrix* corr) {
   if (names.size() != stats.num_vars()) {
     return Status::InvalidArgument(
         "names/statistics size mismatch: " + std::to_string(names.size()) +
@@ -119,25 +110,8 @@ Result<EffectEstimate> EstimateEffectFromStats(
     for (std::size_t j = 0; j < p; ++j) rxx(i, j) = (*corr)(xs[i], xs[j]);
     rxy[i] = (*corr)(xs[i], o_idx);
   }
-  std::vector<double> beta;
-  if (fcache != nullptr && fcache->ridge() == 1e-9) {
-    // The cached factor is Cholesky of R_xx + 1e-9 I — exactly
-    // SolveNormalEquations' first attempt — so a cache solve reproduces
-    // it bitwise. On failure (collinear predictors), replay its
-    // stronger-ridge retry: +1e-9 then +1e-6 as two separate adds.
-    auto cached = fcache->Solve(xs, rxy);
-    if (cached.ok()) {
-      beta = *std::move(cached);
-    } else {
-      stats::Matrix ridged = rxx;
-      for (std::size_t d = 0; d < p; ++d) ridged(d, d) += 1e-9;
-      for (std::size_t d = 0; d < p; ++d) ridged(d, d) += 1e-6;
-      CDI_ASSIGN_OR_RETURN(beta, stats::CholeskySolve(ridged, rxy));
-    }
-  } else {
-    CDI_ASSIGN_OR_RETURN(beta,
-                         stats::SolveNormalEquations(rxx, rxy, 1e-9));
-  }
+  CDI_ASSIGN_OR_RETURN(std::vector<double> beta,
+                       stats::SolveNormalEquations(rxx, rxy, 1e-9));
 
   // rss on the standardized scale: total SS is W - 1 by construction.
   const double wsum = stats.weight_sum();

@@ -58,25 +58,14 @@ Result<EffectEstimate> EstimateEffect(
 /// reproducible across calls, threads, and processes, though not defined
 /// to be bitwise-equal to the per-query FitStandardizedOls path (which
 /// deletes listwise over only the involved columns).
-Result<EffectEstimate> EstimateEffectFromStats(
-    const stats::SufficientStats& stats,
-    const std::vector<std::string>& names, const std::string& exposure,
-    const std::string& outcome, const std::vector<std::string>& adjustment);
-
-/// Batched variant for the serving planner. `corr` is the precomputed
-/// correlation matrix (== stats.Correlation(); recomputed here when null)
-/// and `fcache` a factor cache built over `corr` with ridge 1e-9 — the
-/// same ridge SolveNormalEquations applies — so consecutive pair queries
-/// whose predictor sets share or extend each other reuse Cholesky factors
-/// instead of re-factorizing per query. A null or mismatched-ridge cache
-/// falls back to the unbatched solve. Estimates are bitwise identical to
-/// the overload above, including the stronger-ridge retry on collinear
-/// predictor sets.
+///
+/// `corr` is an optional precomputed correlation matrix of `stats` (the
+/// serving planner derives it once per plan); null derives it here.
 Result<EffectEstimate> EstimateEffectFromStats(
     const stats::SufficientStats& stats,
     const std::vector<std::string>& names, const std::string& exposure,
     const std::string& outcome, const std::vector<std::string>& adjustment,
-    const stats::Matrix* corr, stats::FactorCache* fcache);
+    const stats::Matrix* corr = nullptr);
 
 }  // namespace cdi::core
 

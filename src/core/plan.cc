@@ -29,13 +29,7 @@ Result<CdagPlan> CdagPlan::Build(
   }
   ds.weights = plan.artifact_->organization.row_weights;
   CDI_ASSIGN_OR_RETURN(plan.stats_, stats::SufficientStats::Compute(ds));
-  // Derive the correlation matrix once and seed a factor cache over it
-  // (ridge 1e-9 = SolveNormalEquations' ridge), so every AnswerPair
-  // reuses one matrix and one cache instead of re-deriving per query.
-  plan.corr_ =
-      std::make_shared<const stats::Matrix>(plan.stats_.Correlation());
-  plan.fcache_ =
-      std::make_shared<stats::FactorCache>(plan.corr_.get(), 1e-9);
+  plan.corr_ = plan.stats_.Correlation();
   return plan;
 }
 
@@ -97,13 +91,11 @@ Result<PairAnswer> CdagPlan::AnswerPair(const std::string& exposure,
   CDI_ASSIGN_OR_RETURN(
       answer.direct_effect,
       EstimateEffectFromStats(stats_, names_, exposure, outcome,
-                              direct_adjustment, corr_.get(),
-                              fcache_.get()));
+                              direct_adjustment, &corr_));
   CDI_ASSIGN_OR_RETURN(
       answer.total_effect,
       EstimateEffectFromStats(stats_, names_, exposure, outcome,
-                              total_adjustment, corr_.get(),
-                              fcache_.get()));
+                              total_adjustment, &corr_));
   return answer;
 }
 

@@ -7,7 +7,7 @@
 
 #include "common/status.h"
 #include "core/pipeline.h"
-#include "stats/factor_cache.h"
+#include "stats/matrix.h"
 #include "stats/sufficient_stats.h"
 
 namespace cdi::core {
@@ -81,15 +81,9 @@ class CdagPlan {
   std::shared_ptr<const PipelineResult> artifact_;
   std::vector<std::string> names_;
   stats::SufficientStats stats_;
-  /// Correlation matrix of stats_, derived once at Build; the factor
-  /// cache borrows it, so both live behind stable heap addresses — the
-  /// plan stays movable (and registry entries move plans around).
-  /// AnswerPair feeds them to the batched EstimateEffectFromStats:
-  /// consecutive pair queries share Cholesky factors across overlapping
-  /// adjustment sets. Answers are bitwise identical to the unbatched
-  /// path, so the fresh-vs-cached plan equivalence contract is unchanged.
-  std::shared_ptr<const stats::Matrix> corr_;
-  std::shared_ptr<stats::FactorCache> fcache_;
+  /// Correlation matrix of stats_, derived once at Build and shared by
+  /// every AnswerPair instead of re-derived per query.
+  stats::Matrix corr_;
 };
 
 }  // namespace cdi::core

@@ -60,12 +60,6 @@ class CachedCiTest : public CiTest {
   double Strength(std::size_t x, std::size_t y,
                   const std::vector<std::size_t>& s) const override;
 
-  /// Forwarded so the wrapped test's per-level hygiene still runs when PC
-  /// talks to the cache instead of the test directly.
-  void OnSkeletonLevel(std::size_t level) const override {
-    base_->OnSkeletonLevel(level);
-  }
-
   const CiTest& base() const { return *base_; }
   std::size_t cache_hits() const { return hits_.load(); }
   std::size_t cache_misses() const { return misses_.load(); }

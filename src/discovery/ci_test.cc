@@ -33,27 +33,15 @@ Result<std::unique_ptr<FisherZTest>> FisherZTest::Create(
 double FisherZTest::PValue(std::size_t x, std::size_t y,
                            const std::vector<std::size_t>& s) const {
   ++calls;
-  auto r = batched_ ? fcache_.PartialCorrelation(x, y, s)
-                    : stats::PartialCorrelation(corr_, x, y, s);
+  auto r = stats::PartialCorrelation(corr_, x, y, s);
   if (!r.ok()) return 1.0;
   return stats::FisherZPValue(*r, n_, s.size());
 }
 
 double FisherZTest::Strength(std::size_t x, std::size_t y,
                              const std::vector<std::size_t>& s) const {
-  auto r = batched_ ? fcache_.PartialCorrelation(x, y, s)
-                    : stats::PartialCorrelation(corr_, x, y, s);
+  auto r = stats::PartialCorrelation(corr_, x, y, s);
   return r.ok() ? std::fabs(*r) : 0.0;
-}
-
-void FisherZTest::OnSkeletonLevel(std::size_t level) const {
-  // Factors below level-1 variables can never be the longest prefix of a
-  // level-`level` conditioning set again (and sets of up to 3 variables
-  // are factored inline, so the map only ever holds size >= 4 — eviction
-  // first bites at level 6). Dropped factors would be recomputed to
-  // identical bits if ever needed — this is purely memory hygiene for
-  // wide skeletons.
-  if (level >= 3) fcache_.EvictSmallerThan(level - 1);
 }
 
 Result<std::unique_ptr<DSeparationOracle>> DSeparationOracle::Create(

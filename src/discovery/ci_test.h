@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "graph/digraph.h"
 #include "stats/correlation.h"
-#include "stats/factor_cache.h"
 #include "stats/matrix.h"
 #include "stats/sufficient_stats.h"
 
@@ -41,25 +40,14 @@ class CiTest {
     return PValue(x, y, s) >= alpha;
   }
 
-  /// Skeleton-phase hint: PC announces each conditioning-set level before
-  /// issuing that level's queries. Purely an optimization hook — tests
-  /// with per-level internal state (e.g. FisherZTest's factor cache)
-  /// use it for hygiene; answers must not depend on whether it's called.
-  virtual void OnSkeletonLevel(std::size_t level) const { (void)level; }
-
   /// Number of PValue evaluations performed (statistics/benchmarks).
   /// Atomic: evaluations may run concurrently.
   mutable std::atomic<std::size_t> calls{0};
 };
 
 /// Gaussian (Fisher-z) partial-correlation test. Precomputes the
-/// correlation matrix over complete rows once. Queries run through the
-/// batched CI engine by default: a FactorCache shares the Cholesky
-/// factorization of each conditioning set across every query that uses
-/// it (or extends it by a prefix), which is where PC's per-level subset
-/// enumeration spends its time. Batched and unbatched answers are
-/// bitwise identical — the cache replays the exact from-scratch
-/// arithmetic, only skipping rows it has already computed.
+/// correlation matrix over complete rows once; each query is one
+/// allocation-free stats::PartialCorrelation on it.
 class FisherZTest : public CiTest {
  public:
   /// Fails when fewer than 5 complete rows exist. `pool` parallelizes the
@@ -78,31 +66,15 @@ class FisherZTest : public CiTest {
   double Strength(std::size_t x, std::size_t y,
                   const std::vector<std::size_t>& s) const override;
 
-  /// Evicts factors that level `level` can no longer extend: level ℓ
-  /// conditions on sets of size ℓ, whose longest useful cached prefixes
-  /// have size ℓ-1.
-  void OnSkeletonLevel(std::size_t level) const override;
-
-  /// A/B seam for the identity tests and benchmarks: `false` routes every
-  /// query through stats::PartialCorrelation from scratch. Answers are
-  /// bitwise identical either way. Not thread-safe; flip before querying.
-  void set_batched(bool batched) { batched_ = batched; }
-  bool batched() const { return batched_; }
-
-  const stats::FactorCache& factor_cache() const { return fcache_; }
   const stats::Matrix& correlation() const { return corr_; }
   std::size_t sample_size() const { return n_; }
 
  private:
   FisherZTest(stats::Matrix corr, std::size_t n)
-      : corr_(std::move(corr)), n_(n), fcache_(&corr_, 1e-10) {}
+      : corr_(std::move(corr)), n_(n) {}
 
   stats::Matrix corr_;
   std::size_t n_;
-  /// Ridge 1e-10 mirrors the regularizer stats::PartialCorrelation applies
-  /// to its conditioning submatrix — the precondition for bitwise parity.
-  mutable stats::FactorCache fcache_;
-  bool batched_ = true;
 };
 
 /// Exact d-separation oracle over a known DAG. Property tests use it to

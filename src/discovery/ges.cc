@@ -10,7 +10,6 @@
 
 #include "common/span.h"
 #include "common/thread_pool.h"
-#include "stats/factor_cache.h"
 #include "stats/sufficient_stats.h"
 
 namespace cdi::discovery {
@@ -24,12 +23,9 @@ namespace {
 /// cache content is independent of interleaving.
 class ScoreCache {
  public:
-  /// Borrows `stats`, which must outlive the cache (the factor cache
-  /// keeps a pointer into its cross-product matrix).
+  /// Borrows `stats`, which must outlive the cache.
   ScoreCache(const stats::SufficientStats& stats, double penalty)
-      : stats_(stats),
-        penalty_(penalty),
-        fcache_(&stats.cross_products(), 1e-9) {}
+      : stats_(stats), penalty_(penalty) {}
 
   /// BIC contribution of `target` with the given parent set (lower is
   /// better). Returns +inf when the regression is degenerate.
@@ -43,11 +39,7 @@ class ScoreCache {
       auto it = cache_.find(key);
       if (it != cache_.end()) return it->second;
     }
-    // Batched: parent sets across GES's insert/delete candidate moves
-    // overlap heavily, so their Cholesky factors come from a shared
-    // prefix-extending cache. Scores are bitwise identical to the
-    // unbatched overload.
-    auto s = stats_.GaussianBicLocal(target, sorted, &fcache_);
+    auto s = stats_.GaussianBicLocal(target, sorted);
     double value;
     if (!s.ok()) {
       value = std::numeric_limits<double>::infinity();
@@ -66,7 +58,6 @@ class ScoreCache {
  private:
   const stats::SufficientStats& stats_;
   double penalty_;
-  mutable stats::FactorCache fcache_;
   std::mutex mu_;
   std::map<std::string, double> cache_;
 };

@@ -122,11 +122,6 @@ Status PcSkeleton(const CiTest& test, const PcOptions& options,
     }
     if (!any_candidate) break;
 
-    // Let the test prepare for this level's conditioning-set size (e.g.
-    // FisherZTest evicts factor-cache entries no level-`level` query can
-    // extend). Purely advisory — answers are identical without it.
-    test.OnSkeletonLevel(level);
-
     if (options.stable) {
       // PC-stable: every edge present at level start is tested against a
       // snapshot of the adjacencies, so decisions are independent of each

@@ -1,6 +1,7 @@
 #include "serve/scenario_registry.h"
 
 #include <algorithm>
+#include <cmath>
 #include <mutex>
 #include <utility>
 
@@ -16,6 +17,31 @@ std::size_t ScenarioBundle::NumericIndex(const std::string& attribute) const {
   }
   return kNotNumeric;
 }
+
+namespace {
+
+/// Rejects ±inf in any double column of `t`. NaN keeps meaning "missing",
+/// but an infinite cell has no such reading: it would poison every
+/// statistic it enters and turn each answer for its attribute into zeros.
+/// Rows are 0-based within `t`.
+Status CheckFiniteCells(const table::Table& t, const std::string& context) {
+  for (std::size_t c = 0; c < t.num_cols(); ++c) {
+    const table::Column& col = t.ColumnAt(c);
+    if (col.type() != table::DataType::kDouble) continue;
+    const DoubleSpan cells = col.View();
+    for (std::size_t r = 0; r < cells.size(); ++r) {
+      if (std::isinf(cells[r])) {
+        return Status::InvalidArgument(
+            context + ": column '" + col.name() + "' row " +
+            std::to_string(r) + " is " + std::to_string(cells[r]) +
+            "; numeric cells must be finite (an empty cell means missing)");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 std::size_t EstimateBundleBytes(const ScenarioBundle& bundle) {
   std::size_t bytes = sizeof(ScenarioBundle) + bundle.name.size();
@@ -110,6 +136,12 @@ Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::Insert(
     return Status::InvalidArgument("scenario must be non-null");
   }
 
+  if (Status s = CheckFiniteCells(scenario->input_table,
+                                  "registering scenario '" + name + "'");
+      !s.ok()) {
+    return s;
+  }
+
   // Build the bundle outside all locks; only the map publish is
   // serialized (and only on the owning shard).
   auto bundle = std::make_shared<ScenarioBundle>();
@@ -198,6 +230,11 @@ Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::UpdateScenario(
   if (row_batch.num_rows() == 0) {
     return Status::InvalidArgument("row batch for scenario '" + name +
                                    "' has no rows");
+  }
+  if (Status s = CheckFiniteCells(
+          row_batch, "row batch for scenario '" + name + "'");
+      !s.ok()) {
+    return s;
   }
   Shard& shard = ShardFor(name);
   std::shared_ptr<const ScenarioBundle> old;

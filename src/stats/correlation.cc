@@ -24,6 +24,34 @@ Result<Matrix> CorrelationMatrix(const NumericDataset& data,
   return s.Correlation();
 }
 
+namespace {
+
+// Writes row t of the packed lower-triangular factor (row t starts at
+// t(t+1)/2 and has t+1 entries) of corr[s, s] + 1e-10·I into `l`, whose
+// rows before t are already written. The loop body replays Cholesky()
+// row t exactly — same reads, same subtraction order (k ascending), same
+// pivot test — so the packed factor is bitwise the one Cholesky()
+// computes on the ridged submatrix. Returns false on a non-positive pivot.
+bool FactorRow(const Matrix& corr, const std::vector<std::size_t>& s,
+               std::size_t t, double* l) {
+  CDI_CHECK(s[t] < corr.rows());
+  const double* ct = corr.Row(s[t]);
+  double* row = l + t * (t + 1) / 2;
+  for (std::size_t j = 0; j < t; ++j) {
+    double sum = ct[s[j]];
+    const double* rj = l + j * (j + 1) / 2;
+    for (std::size_t k = 0; k < j; ++k) sum -= row[k] * rj[k];
+    row[j] = sum / rj[j];
+  }
+  double sum = ct[s[t]] + 1e-10;
+  for (std::size_t k = 0; k < t; ++k) sum -= row[k] * row[k];
+  if (sum <= 0.0) return false;
+  row[t] = std::sqrt(sum);
+  return true;
+}
+
+}  // namespace
+
 Result<double> PartialCorrelation(const Matrix& corr, std::size_t i,
                                   std::size_t j,
                                   const std::vector<std::size_t>& given) {
@@ -41,23 +69,29 @@ Result<double> PartialCorrelation(const Matrix& corr, std::size_t i,
     if (den <= 1e-12) return 0.0;
     return std::clamp((rij - rik * rjk) / den, -1.0, 1.0);
   }
-  // General case via Cholesky of the submatrix ordered (given..., i, j):
-  // with L the factor, the trailing 2x2 block [[a, 0], [b, c]] satisfies
-  // Cov(i, j | given) = [[a^2, ab], [ab, b^2 + c^2]], so the partial
-  // correlation is b / sqrt(b^2 + c^2). One factorization, no pivoting —
-  // this is the per-query hot path of the cached CI engine.
-  std::vector<std::size_t> idx(given);
+  // General case via Cholesky of the submatrix ordered (given..., i, j),
+  // with a tiny ridge against singular submatrices from deterministic
+  // relationships: with L the factor, the trailing 2x2 block
+  // [[a, 0], [b, c]] satisfies Cov(i, j | given) = [[a^2, ab],
+  // [ab, b^2 + c^2]], so the partial correlation is b / sqrt(b^2 + c^2).
+  // This is the per-query hot path of PC, so the factor is built row by
+  // row into thread-local packed buffers: no allocation after warm-up,
+  // and the bits of Cholesky() on the ridged submatrix.
+  thread_local std::vector<std::size_t> idx;
+  thread_local std::vector<double> l;
+  idx.assign(given.begin(), given.end());
   idx.push_back(i);
   idx.push_back(j);
-  Matrix sub = corr.Submatrix(idx);
-  // Tiny ridge guards against singular submatrices from deterministic
-  // relationships.
-  for (std::size_t d = 0; d < sub.rows(); ++d) sub(d, d) += 1e-10;
-  auto chol = Cholesky(sub);
-  if (chol.ok()) {
-    const std::size_t m = sub.rows();
-    const double b = (*chol)(m - 1, m - 2);
-    const double c = (*chol)(m - 1, m - 1);
+  const std::size_t m = idx.size();
+  if (l.size() < m * (m + 1) / 2) l.resize(m * (m + 1) / 2);
+  bool ok = true;
+  for (std::size_t t = 0; t < m && ok; ++t) {
+    ok = FactorRow(corr, idx, t, l.data());
+  }
+  if (ok) {
+    const double* last = l.data() + (m - 1) * m / 2;
+    const double b = last[m - 2];
+    const double c = last[m - 1];
     const double den = std::sqrt(b * b + c * c);
     if (den <= 1e-12 || !std::isfinite(den)) return 0.0;
     return std::clamp(b / den, -1.0, 1.0);

@@ -71,17 +71,19 @@ Result<Matrix> CorrelationMatrix(const NumericDataset& data,
 std::size_t CompleteRowCount(const NumericDataset& data);
 
 /// Partial correlation rho(i, j | given) computed from a correlation
-/// matrix by inverting the submatrix over {i, j} ∪ given.
+/// matrix: closed forms for |given| <= 1, otherwise one Cholesky
+/// factorization of the submatrix over (given..., i, j) + 1e-10·I, built
+/// in thread-local buffers (allocation-free after warm-up; safe to call
+/// from several threads at once).
 Result<double> PartialCorrelation(const Matrix& corr, std::size_t i,
                                   std::size_t j,
                                   const std::vector<std::size_t>& given);
 
 /// The non-SPD escape hatch of PartialCorrelation: the pivoted
 /// precision-matrix route taken when Cholesky of the ridged submatrix
-/// fails (severely collinear conditioning set). Exposed so FactorCache's
-/// batched path lands on the *same* fallback arithmetic — bitwise — when
-/// a cached factorization is degenerate. Requires |given| >= 2 and valid
-/// distinct indices.
+/// fails (severely collinear conditioning set). Exposed so reference
+/// implementations land on the same fallback arithmetic. Requires
+/// |given| >= 2 and valid distinct indices.
 double PartialCorrelationPrecisionFallback(
     const Matrix& corr, std::size_t i, std::size_t j,
     const std::vector<std::size_t>& given);

@@ -11,8 +11,9 @@ Result<Matrix> Cholesky(const Matrix& a) {
   }
   const std::size_t n = a.rows();
   Matrix l(n, n);
-  // Raw-row access: this is the per-CI-query hot loop of the discovery
-  // stack; the arithmetic (operands, order) is untouched.
+  // Raw-row access; callers are CholeskySolve, LogDet and the bitwise
+  // reference for stats::PartialCorrelation, whose packed factor replays
+  // this loop's arithmetic (operands, order).
   for (std::size_t i = 0; i < n; ++i) {
     const double* ai = a.Row(i);
     double* li = l.Row(i);

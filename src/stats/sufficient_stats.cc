@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/thread_pool.h"
-#include "stats/factor_cache.h"
 #include "stats/gram_kernel.h"
 #include "stats/linalg.h"
 
@@ -727,12 +726,6 @@ Status SufficientStats::AppendRows(const std::vector<DoubleSpan>& cols,
 
 Result<double> SufficientStats::GaussianBicLocal(
     std::size_t target, const std::vector<std::size_t>& parents) const {
-  return GaussianBicLocal(target, parents, nullptr);
-}
-
-Result<double> SufficientStats::GaussianBicLocal(
-    std::size_t target, const std::vector<std::size_t>& parents,
-    FactorCache* fcache) const {
   const std::size_t p = num_vars();
   if (target >= p) return Status::InvalidArgument("bad target index");
   for (std::size_t pa : parents) {
@@ -753,26 +746,8 @@ Result<double> SufficientStats::GaussianBicLocal(
     for (std::size_t j = 0; j < parents.size(); ++j) {
       spy[j] = sxx_(parents[j], target);
     }
-    std::vector<double> beta;
-    // The cache solve is CholeskySolve on sxx_[parents, parents] + 1e-9 I
-    // to the bit — SolveRidged's first attempt. If it reports degenerate,
-    // that attempt would have failed identically, so fall through to the
-    // stronger-ridge retry exactly as SolveRidged stages it (two separate
-    // diagonal adds, not one fused 1.001e-6).
-    if (fcache != nullptr && fcache->ridge() == 1e-9) {
-      auto cached = fcache->Solve(parents, spy);
-      if (cached.ok()) {
-        beta = *std::move(cached);
-      } else {
-        Matrix spp = sxx_.Submatrix(parents);
-        for (std::size_t d = 0; d < spp.rows(); ++d) spp(d, d) += 1e-9;
-        for (std::size_t d = 0; d < spp.rows(); ++d) spp(d, d) += 1e-6;
-        CDI_ASSIGN_OR_RETURN(beta, CholeskySolve(spp, spy));
-      }
-    } else {
-      Matrix spp = sxx_.Submatrix(parents);
-      CDI_ASSIGN_OR_RETURN(beta, SolveRidged(spp, spy));
-    }
+    CDI_ASSIGN_OR_RETURN(std::vector<double> beta,
+                         SolveRidged(sxx_.Submatrix(parents), spy));
     double fitted = 0.0;
     for (std::size_t j = 0; j < beta.size(); ++j) fitted += beta[j] * spy[j];
     rss = sxx_(target, target) - fitted;

@@ -15,8 +15,6 @@ class ThreadPool;
 
 namespace cdi::stats {
 
-class FactorCache;
-
 /// Shared sufficient statistics of a numeric dataset: the complete-row
 /// mask, per-column weighted means and the centered weighted
 /// cross-product matrix S(a, b) = sum_r w_r (x_a - m_a)(x_b - m_b) over
@@ -138,17 +136,6 @@ class SufficientStats {
   /// for empty parent sets the value is bitwise identical.
   Result<double> GaussianBicLocal(
       std::size_t target, const std::vector<std::size_t>& parents) const;
-
-  /// Batched variant: the parents' Cholesky factor comes from `fcache`
-  /// (which must be built over this object's cross_products() with ridge
-  /// 1e-9 — anything else falls back to the unbatched path), so GES
-  /// rescoring target/parent combinations that share or extend parent
-  /// sets skips the re-factorization. Values are bitwise identical to the
-  /// two-argument overload, including the stronger-ridge retry on
-  /// degenerate parent sets.
-  Result<double> GaussianBicLocal(std::size_t target,
-                                  const std::vector<std::size_t>& parents,
-                                  FactorCache* fcache) const;
 
   /// OLS coefficients (intercept first, then one slope per entry of `xs`,
   /// in order) of column `y` on columns `xs`, solved from the normal

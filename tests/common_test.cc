@@ -351,6 +351,45 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
+/// Overwrites the stack region a just-returned call used, so a late
+/// access to its locals hits garbage rather than a fresh copy.
+[[gnu::noinline]] void ScribbleStack() {
+  volatile unsigned char junk[2048];
+  for (auto& b : junk) b = 0xff;
+}
+
+TEST(ThreadPoolTest, BackToBackParallelLoopsReturnSafely) {
+  // Each call's completion handshake lives on the caller's stack. When
+  // the last task finds every index taken it finishes at once, racing the
+  // caller's return; a handshake that lets the caller return before that
+  // task is done with it uses freed synchronization state (an abort in
+  // pthread_mutex_lock, or a hang). Several callers with their own pools
+  // oversubscribe the cores, so a task is often preempted inside that
+  // window, and each caller overwrites the finished call's stack.
+  constexpr int kCallers = 4;
+  constexpr int kReps = 8000;
+  std::atomic<std::size_t> total{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&total] {
+      ThreadPool pool(4);
+      for (int rep = 0; rep < kReps; ++rep) {
+        ParallelFor(&pool, 256, [&total](std::size_t) {
+          total.fetch_add(1, std::memory_order_relaxed);
+        });
+        ScribbleStack();
+        ParallelForRanges(&pool, 256, 1,
+                          [&total](std::size_t b, std::size_t e) {
+                            total.fetch_add(e - b, std::memory_order_relaxed);
+                          });
+        ScribbleStack();
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(total.load(), std::size_t{kCallers} * kReps * 512);
+}
+
 TEST(ThreadPoolTest, ParallelForRunsInlineWithoutPool) {
   std::vector<int> hits(10, 0);
   ParallelFor(nullptr, hits.size(),

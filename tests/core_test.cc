@@ -10,7 +10,6 @@
 #include "core/knowledge_extractor.h"
 #include "core/varclus.h"
 #include "stats/descriptive.h"
-#include "stats/factor_cache.h"
 
 namespace cdi::core {
 namespace {
@@ -466,50 +465,6 @@ TEST(EffectTest, WeightsChangeTheEstimate) {
 }
 
 // ------------------------------------------------------ KnowledgeExtractor
-
-TEST(EffectTest, BatchedFromStatsMatchesUnbatchedBitwise) {
-  // The factor-cache overload of EstimateEffectFromStats must reproduce
-  // the plain overload exactly, over adjustment sets that overlap and
-  // extend each other (the serving planner's access pattern) and on a
-  // collinear predictor set (column "d" duplicates "a") where the cache
-  // solve fails and the stronger-ridge retry runs.
-  Rng rng(29);
-  const std::size_t n = 500;
-  std::vector<std::vector<double>> cols(5, std::vector<double>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    cols[0][i] = rng.Normal();
-    cols[1][i] = 0.6 * cols[0][i] + rng.Normal();
-    cols[2][i] = 0.5 * cols[1][i] + rng.Normal();
-    cols[3][i] = cols[0][i];  // exact duplicate of "a"
-    cols[4][i] = 0.4 * cols[2][i] + rng.Normal();
-  }
-  const std::vector<std::string> names = {"a", "b", "c", "d", "o"};
-  stats::NumericDataset ds;
-  ds.columns = cdi::SpansOf(cols);
-  auto stats = stats::SufficientStats::Compute(ds);
-  ASSERT_TRUE(stats.ok());
-  const stats::Matrix corr = stats->Correlation();
-  stats::FactorCache cache(&corr, 1e-9);
-
-  const std::vector<std::vector<std::string>> adjustments = {
-      {},        {"a"},      {"a", "b"}, {"a", "b", "c"},
-      {"b"},     {"a", "d"},  // collinear: retry path
-      {"a", "b"}  // repeat: pure cache hit
-  };
-  for (const auto& adj : adjustments) {
-    auto plain = EstimateEffectFromStats(*stats, names, "c", "o", adj);
-    auto batched = EstimateEffectFromStats(*stats, names, "c", "o", adj,
-                                           &corr, &cache);
-    ASSERT_EQ(plain.ok(), batched.ok());
-    if (!plain.ok()) continue;
-    EXPECT_EQ(plain->effect, batched->effect);
-    EXPECT_EQ(plain->std_error, batched->std_error);
-    EXPECT_EQ(plain->p_value, batched->p_value);
-    EXPECT_EQ(plain->adjusted_for, batched->adjusted_for);
-    EXPECT_EQ(plain->n_used, batched->n_used);
-  }
-  EXPECT_GT(cache.hits() + cache.misses(), 0u);
-}
 
 TEST(KnowledgeExtractorTest, ExtractsRelevantDropsIrrelevant) {
   Rng rng(31);

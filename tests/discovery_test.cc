@@ -17,6 +17,7 @@
 #include "discovery/subsets.h"
 #include "graph/metrics.h"
 #include "graph/random_graph.h"
+#include "testing/reference.h"
 
 namespace cdi::discovery {
 namespace {
@@ -716,43 +717,61 @@ TEST(ThreadDeterminismTest, RunDiscoveryCacheDoesNotChangeResults) {
   }
 }
 
-// ------------------------------------------------- batched CI engine
+// ------------------------------------- FisherZTest vs the reference
 
-/// Runs PC twice over the same FisherZ statistics — factor-cache batched
-/// and from-scratch — and requires identical output (graph, sepsets,
-/// query count). The batched engine's contract is bitwise replay, so any
-/// divergence at all is a bug.
-void ExpectBatchedPcMatchesUnbatched(const stats::NumericDataset& ds,
-                                     const std::string& context) {
-  auto batched = FisherZTest::Create(ds);
-  auto unbatched = FisherZTest::Create(ds);
-  ASSERT_TRUE(batched.ok()) << context;
-  ASSERT_TRUE(unbatched.ok()) << context;
-  (*unbatched)->set_batched(false);
+/// Fisher-z test answered by testing::ReferencePartialCorrelation — the
+/// allocate-per-query Submatrix + Cholesky formulation whose bits
+/// FisherZTest's packed factor must reproduce.
+class ReferenceFisherZTest : public CiTest {
+ public:
+  ReferenceFisherZTest(stats::Matrix corr, std::size_t n)
+      : corr_(std::move(corr)), n_(n) {}
+
+  std::size_t num_vars() const override { return corr_.rows(); }
+  double PValue(std::size_t x, std::size_t y,
+                const std::vector<std::size_t>& s) const override {
+    ++calls;
+    auto r = cdi::testing::ReferencePartialCorrelation(corr_, x, y, s);
+    if (!r.ok()) return 1.0;
+    return stats::FisherZPValue(*r, n_, s.size());
+  }
+  double Strength(std::size_t x, std::size_t y,
+                  const std::vector<std::size_t>& s) const override {
+    auto r = cdi::testing::ReferencePartialCorrelation(corr_, x, y, s);
+    return r.ok() ? std::fabs(*r) : 0.0;
+  }
+
+ private:
+  stats::Matrix corr_;
+  std::size_t n_;
+};
+
+/// Runs PC over FisherZTest and over the reference test on the same
+/// statistics and requires identical output (graph, sepsets, query
+/// count). The contract is bitwise replay, so any divergence is a bug.
+void ExpectPcMatchesReference(const stats::NumericDataset& ds,
+                              const std::string& context) {
+  auto fisher = FisherZTest::Create(ds);
+  ASSERT_TRUE(fisher.ok()) << context;
+  const ReferenceFisherZTest reference((*fisher)->correlation(),
+                                       (*fisher)->sample_size());
   std::vector<std::string> names;
-  for (std::size_t v = 0; v < (*batched)->num_vars(); ++v) {
+  for (std::size_t v = 0; v < (*fisher)->num_vars(); ++v) {
     names.push_back("v" + std::to_string(v));
   }
   PcOptions options;
-  auto rb = RunPc(**batched, names, options);
-  auto ru = RunPc(**unbatched, names, options);
-  ASSERT_TRUE(rb.ok()) << context;
-  ASSERT_TRUE(ru.ok()) << context;
-  EXPECT_EQ(rb->graph.DirectedEdges(), ru->graph.DirectedEdges()) << context;
-  EXPECT_EQ(rb->graph.UndirectedEdges(), ru->graph.UndirectedEdges())
+  auto rf = RunPc(**fisher, names, options);
+  auto rr = RunPc(reference, names, options);
+  ASSERT_TRUE(rf.ok()) << context;
+  ASSERT_TRUE(rr.ok()) << context;
+  EXPECT_EQ(rf->graph.DirectedEdges(), rr->graph.DirectedEdges()) << context;
+  EXPECT_EQ(rf->graph.UndirectedEdges(), rr->graph.UndirectedEdges())
       << context;
-  EXPECT_EQ(rb->sepsets, ru->sepsets) << context;
-  EXPECT_EQ(rb->ci_tests, ru->ci_tests) << context;
-  // The batched run actually exercised the engine (small sets take the
-  // inline-factor path; larger ones go through the cache map).
-  EXPECT_GT((*batched)->factor_cache().hits() +
-                (*batched)->factor_cache().misses() +
-                (*batched)->factor_cache().inline_factors(),
-            0u)
-      << context;
+  EXPECT_EQ(rf->sepsets, rr->sepsets) << context;
+  EXPECT_EQ(rf->ci_tests, rr->ci_tests) << context;
 }
 
-TEST(BatchedCiTest, PcMatchesUnbatchedOnScenarioData) {
+TEST(FisherZReferenceTest, PcMatchesReferenceOnScenarioData) {
   for (const auto& spec : {datagen::CovidSpec(), datagen::FlightsSpec()}) {
     auto scenario = datagen::BuildScenario(spec);
     ASSERT_TRUE(scenario.ok());
@@ -761,11 +780,11 @@ TEST(BatchedCiTest, PcMatchesUnbatchedOnScenarioData) {
       ds.columns.emplace_back(cdi::DoubleSpan::Borrow(col.data(),
                                                       col.size()));
     }
-    ExpectBatchedPcMatchesUnbatched(ds, spec.name);
+    ExpectPcMatchesReference(ds, spec.name);
   }
 }
 
-TEST(BatchedCiTest, PcMatchesUnbatchedAcrossFuzzSeeds) {
+TEST(FisherZReferenceTest, PcMatchesReferenceAcrossFuzzSeeds) {
   // 200 random linear-Gaussian problems, with NaN-masked rows on half of
   // them so the statistics path with listwise deletion is covered too.
   for (uint64_t seed = 0; seed < 200; ++seed) {
@@ -795,32 +814,7 @@ TEST(BatchedCiTest, PcMatchesUnbatchedAcrossFuzzSeeds) {
     }
     stats::NumericDataset ds;
     ds.columns = cdi::SpansOf(cols);
-    ExpectBatchedPcMatchesUnbatched(ds, "seed " + std::to_string(seed));
-  }
-}
-
-TEST(BatchedCiTest, LevelEvictionKeepsAnswersIdentical) {
-  // OnSkeletonLevel eviction is advisory: calling it at arbitrary points
-  // must not change a single answer.
-  const auto cols = WideChainData(8, 600, 67);
-  stats::NumericDataset ds;
-  ds.columns = cdi::SpansOf(cols);
-  auto a = FisherZTest::Create(ds);
-  auto b = FisherZTest::Create(ds);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  Rng rng(71);
-  for (int trial = 0; trial < 300; ++trial) {
-    const std::size_t x = rng.UniformInt(8);
-    std::size_t y = rng.UniformInt(8);
-    if (y == x) y = (y + 1) % 8;
-    std::vector<std::size_t> s;
-    for (std::size_t v = 0; v < 8; ++v) {
-      if (v != x && v != y && rng.Uniform() < 0.3) s.push_back(v);
-    }
-    if (trial % 50 == 17) (*a)->OnSkeletonLevel(trial / 50);
-    EXPECT_EQ((*a)->PValue(x, y, s), (*b)->PValue(x, y, s))
-        << "trial " << trial;
+    ExpectPcMatchesReference(ds, "seed " + std::to_string(seed));
   }
 }
 

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -259,6 +260,86 @@ TEST(ScenarioRegistryTest, UpdateScenarioRejectsBadBatches) {
       << st.ToString();
   // The failed update published nothing.
   EXPECT_EQ(registry.Snapshot("covid")->get(), bundle.get());
+}
+
+/// First double-typed non-entity column of the scenario's input table.
+std::string FirstDoubleColumn(const datagen::Scenario& sc) {
+  for (std::size_t c = 0; c < sc.input_table.num_cols(); ++c) {
+    const table::Column& col = sc.input_table.ColumnAt(c);
+    if (col.type() == table::DataType::kDouble &&
+        col.name() != sc.spec.entity_column) {
+      return col.name();
+    }
+  }
+  ADD_FAILURE() << "no double column";
+  return "";
+}
+
+TEST(ScenarioRegistryTest, RegisterAndReplaceRejectNonFiniteCells) {
+  auto spec = datagen::CovidSpec();
+  spec.num_entities = kEntities;
+  auto built = datagen::BuildScenario(spec);
+  ASSERT_TRUE(built.ok());
+  std::unique_ptr<datagen::Scenario> poisoned = std::move(built).value();
+  const std::string column = FirstDoubleColumn(*poisoned);
+  CDI_CHECK(poisoned->input_table
+                .SetCell(7, column,
+                         table::Value(std::numeric_limits<double>::infinity()))
+                .ok());
+  std::shared_ptr<const datagen::Scenario> bad(std::move(poisoned));
+
+  ScenarioRegistry registry;
+  auto st = registry.Register("covid", bad).status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("scenario 'covid'"), std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.message().find("column '" + column + "' row 7"),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(registry.size(), 0u);
+
+  // Replace is the same door: the clean epoch stays published.
+  auto clean = registry.Register("covid", BuildCovid());
+  ASSERT_TRUE(clean.ok());
+  EXPECT_EQ(registry.Replace("covid", bad).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.Snapshot("covid")->get(), clean->get());
+}
+
+TEST(ScenarioRegistryTest, UpdateScenarioRejectsNonFiniteCells) {
+  ScenarioRegistry registry;
+  auto bundle = *registry.Register("covid", BuildCovid());
+  const std::string column = FirstDoubleColumn(*bundle->scenario);
+  std::vector<std::size_t> picks;
+  for (std::size_t r = 0; r < 10; ++r) picks.push_back(r);
+
+  table::Table batch = bundle->input->TakeRows(picks);
+  CDI_CHECK(batch
+                .SetCell(4, column,
+                         table::Value(-std::numeric_limits<double>::infinity()))
+                .ok());
+  auto st = registry.UpdateScenario("covid", batch).status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("scenario 'covid'"), std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.message().find("column '" + column + "' row 4"),
+            std::string::npos)
+      << st.ToString();
+  // The rejected batch published nothing: same bundle, same epoch.
+  auto after = registry.Snapshot("covid");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->get(), bundle.get());
+  EXPECT_EQ((*after)->epoch, bundle->epoch);
+
+  // NaN still means "missing" and is accepted.
+  table::Table missing = bundle->input->TakeRows(picks);
+  CDI_CHECK(missing
+                .SetCell(4, column,
+                         table::Value(std::numeric_limits<double>::quiet_NaN()))
+                .ok());
+  auto updated = registry.UpdateScenario("covid", missing);
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  EXPECT_GT((*updated)->epoch, bundle->epoch);
 }
 
 // ------------------------------------------------- Cache key fingerprint

@@ -9,7 +9,6 @@
 #include "stats/correlation.h"
 #include "stats/descriptive.h"
 #include "stats/distributions.h"
-#include "stats/factor_cache.h"
 #include "stats/gram_kernel.h"
 #include "stats/independence.h"
 #include "stats/linalg.h"
@@ -17,6 +16,7 @@
 #include "stats/matrix.h"
 #include "stats/regression.h"
 #include "stats/sufficient_stats.h"
+#include "testing/reference.h"
 
 namespace cdi::stats {
 namespace {
@@ -1309,7 +1309,7 @@ TEST(GramKernelTest, AppendPathsBitwiseIdenticalPerBackend) {
   }
 }
 
-// ------------------------------------------------------- FactorCache
+// ------------------------------------------------- PartialCorrelation
 
 /// Correlation matrix of a well-conditioned random dataset.
 Matrix RandomCorrelation(std::size_t vars, uint64_t seed) {
@@ -1321,155 +1321,49 @@ Matrix RandomCorrelation(std::size_t vars, uint64_t seed) {
   return stats->Correlation();
 }
 
-TEST(FactorCacheTest, PrefixExtensionMatchesScratchBitwise) {
-  const Matrix corr = RandomCorrelation(12, 421);
-  const std::vector<std::size_t> full = {1, 4, 7, 9, 11};
-
-  FactorCache scratch(&corr, 1e-10);
-  auto direct = scratch.FactorFor(full);
-  ASSERT_FALSE(direct->failed);
-  EXPECT_EQ(scratch.rows_extended(), 0u);
-
-  // Warm a second cache with every proper prefix, then ask for the full
-  // set: all but the last row comes from extension, and the packed
-  // factor must be bitwise the from-scratch one.
-  FactorCache warmed(&corr, 1e-10);
-  for (std::size_t len = 2; len < full.size(); ++len) {
-    auto f = warmed.FactorFor(
-        std::vector<std::size_t>(full.begin(), full.begin() + len));
-    ASSERT_FALSE(f->failed);
-  }
-  auto extended = warmed.FactorFor(full);
-  ASSERT_FALSE(extended->failed);
-  EXPECT_GT(warmed.rows_extended(), 0u);
-  ASSERT_EQ(extended->l.size(), direct->l.size());
-  EXPECT_EQ(0, std::memcmp(extended->l.data(), direct->l.data(),
-                           sizeof(double) * direct->l.size()));
-
-  // Second identical query is a pure hit.
-  const std::size_t hits_before = warmed.hits();
-  warmed.FactorFor(full);
-  EXPECT_GT(warmed.hits(), hits_before);
-}
-
-TEST(FactorCacheTest, PartialCorrelationMatchesUnbatchedBitwise) {
-  const Matrix corr = RandomCorrelation(10, 431);
-  FactorCache cache(&corr, 1e-10);
-  Rng rng(433);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t i = rng.UniformInt(10);
-    std::size_t j = rng.UniformInt(10);
-    if (j == i) j = (j + 1) % 10;
-    std::vector<std::size_t> given;
-    const std::size_t k = rng.UniformInt(5);
-    for (std::size_t v = 0; v < 10 && given.size() < k; ++v) {
-      if (v != i && v != j && rng.Uniform() < 0.5) given.push_back(v);
-    }
-    auto batched = cache.PartialCorrelation(i, j, given);
-    auto plain = PartialCorrelation(corr, i, j, given);
-    ASSERT_EQ(batched.ok(), plain.ok()) << "trial " << trial;
-    if (batched.ok()) {
-      EXPECT_EQ(*batched, *plain)
-          << "trial " << trial << " |S|=" << given.size();
+TEST(CorrelationTest, PartialCorrelationMatchesReferenceBitwise) {
+  // Random correlations, every conditioning-set size 0..8, conditioning
+  // sets in random (unsorted) order: the packed row-by-row factor must
+  // reproduce the Submatrix + Cholesky reference to the bit.
+  const std::size_t vars = 12;
+  for (uint64_t seed : {421u, 431u, 441u}) {
+    const Matrix corr = RandomCorrelation(vars, seed);
+    Rng rng(seed + 2);
+    for (std::size_t k = 0; k <= 8; ++k) {
+      for (int trial = 0; trial < 40; ++trial) {
+        std::vector<std::size_t> order(vars);
+        for (std::size_t v = 0; v < vars; ++v) order[v] = v;
+        rng.Shuffle(&order);
+        const std::size_t i = order[0];
+        const std::size_t j = order[1];
+        const std::vector<std::size_t> given(order.begin() + 2,
+                                             order.begin() + 2 + k);
+        auto fast = PartialCorrelation(corr, i, j, given);
+        auto ref = cdi::testing::ReferencePartialCorrelation(corr, i, j,
+                                                             given);
+        ASSERT_TRUE(fast.ok());
+        ASSERT_TRUE(ref.ok());
+        EXPECT_EQ(*fast, *ref) << "seed " << seed << " |S|=" << k;
+      }
     }
   }
-}
 
-TEST(FactorCacheTest, SolveMatchesCholeskySolveBitwise) {
-  const Matrix corr = RandomCorrelation(9, 441);
-  FactorCache cache(&corr, 1e-9);
-  Rng rng(443);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<std::size_t> s;
-    for (std::size_t v = 0; v < 9; ++v) {
-      if (rng.Uniform() < 0.5) s.push_back(v);
-    }
-    if (s.size() < 2) continue;
-    std::vector<double> rhs(s.size());
-    for (auto& x : rhs) x = rng.Normal();
-    Matrix ridged = corr.Submatrix(s);
-    for (std::size_t d = 0; d < s.size(); ++d) ridged(d, d) += 1e-9;
-    auto plain = CholeskySolve(ridged, rhs);
-    auto batched = cache.Solve(s, rhs);
-    ASSERT_TRUE(plain.ok());
-    ASSERT_TRUE(batched.ok());
-    ASSERT_EQ(batched->size(), plain->size());
-    for (std::size_t d = 0; d < plain->size(); ++d) {
-      EXPECT_EQ((*batched)[d], (*plain)[d]) << "trial " << trial;
-    }
-  }
-}
-
-TEST(FactorCacheTest, CollinearFailureIsCachedAndReported) {
-  // Exactly singular 3x3 (column 2 duplicates column 1) with no ridge:
-  // the pivot hits zero, the failure is cached, and both FactorFor and
-  // Solve report it instead of emitting NaNs.
-  Matrix bad = Matrix::FromRows(
-      {{1.0, 0.3, 0.3}, {0.3, 1.0, 1.0}, {0.3, 1.0, 1.0}});
-  FactorCache cache(&bad, 0.0);
-  auto f1 = cache.FactorFor({0, 1, 2});
-  EXPECT_TRUE(f1->failed);
-  EXPECT_FALSE(cache.Solve({0, 1, 2}, {1.0, 1.0, 1.0}).ok());
-  const std::size_t misses_before = cache.misses();
-  auto f2 = cache.FactorFor({0, 1, 2});
-  EXPECT_TRUE(f2->failed);
-  // The repeat probe is served from the cached failure.
-  EXPECT_EQ(cache.misses(), misses_before);
-  // A non-degenerate subset of the same base still factors fine.
-  EXPECT_FALSE(cache.FactorFor({0, 1})->failed);
-}
-
-TEST(FactorCacheTest, EvictionOnlyChangesSpeed) {
-  const Matrix corr = RandomCorrelation(8, 449);
-  FactorCache cache(&corr, 1e-10);
-  const std::vector<std::size_t> s = {0, 2, 4, 6};
-  auto before = cache.FactorFor(s);
-  cache.EvictSmallerThan(100);  // drop everything
-  EXPECT_EQ(cache.size(), 0u);
-  auto after = cache.FactorFor(s);
-  ASSERT_EQ(after->l.size(), before->l.size());
-  EXPECT_EQ(0, std::memcmp(after->l.data(), before->l.data(),
-                           sizeof(double) * before->l.size()));
-}
-
-TEST(SufficientStatsTest, BicBatchedMatchesUnbatchedBitwise) {
-  // The 3-arg GaussianBicLocal overload must replay the 2-arg path
-  // exactly — including on collinear parent sets, where the cache solve
-  // fails and the stronger-ridge retry runs. Column 7 duplicates column
-  // 0 to force that branch.
-  auto data = NoisyData(8, 300, 0.0, 457);
-  data[7] = data[0];
-  NumericDataset ds;
-  ds.columns = cdi::SpansOf(data);
-  auto stats = SufficientStats::Compute(ds);
-  ASSERT_TRUE(stats.ok());
-  FactorCache cache(&stats->cross_products(), 1e-9);
-  Rng rng(461);
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::size_t target = rng.UniformInt(8);
-    std::vector<std::size_t> parents;
-    for (std::size_t v = 0; v < 8; ++v) {
-      if (v != target && rng.Uniform() < 0.4) parents.push_back(v);
-    }
-    auto plain = stats->GaussianBicLocal(target, parents);
-    auto batched = stats->GaussianBicLocal(target, parents, &cache);
-    ASSERT_EQ(plain.ok(), batched.ok()) << "trial " << trial;
-    if (plain.ok()) {
-      EXPECT_EQ(*plain, *batched) << "trial " << trial;
-    }
-  }
-  // Sets containing both collinear columns exercised the retry at least
-  // once; the cache recorded the corresponding failed factorizations.
-  EXPECT_GT(cache.misses(), 0u);
-
-  // A cache with the wrong ridge must be ignored, not trusted.
-  FactorCache wrong(&stats->cross_products(), 1e-10);
-  auto plain = stats->GaussianBicLocal(2, {0, 1, 3});
-  auto guarded = stats->GaussianBicLocal(2, {0, 1, 3}, &wrong);
-  ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE(guarded.ok());
-  EXPECT_EQ(*plain, *guarded);
-  EXPECT_EQ(wrong.hits() + wrong.misses(), 0u);
+  // Inconsistent correlations (2 and 3 perfectly correlated, yet opposite
+  // in their correlation with 0): no positive factor exists even with
+  // the ridge, so both sides take the precision-matrix fallback.
+  const Matrix bad = Matrix::FromRows({{1.0, 0.9, 0.5, -0.5},
+                                       {0.9, 1.0, 0.2, 0.2},
+                                       {0.5, 0.2, 1.0, 1.0},
+                                       {-0.5, 0.2, 1.0, 1.0}});
+  Matrix sub = bad.Submatrix({2, 3, 0, 1});
+  for (std::size_t d = 0; d < sub.rows(); ++d) sub(d, d) += 1e-10;
+  ASSERT_FALSE(Cholesky(sub).ok());
+  auto fast = PartialCorrelation(bad, 0, 1, {2, 3});
+  auto ref = cdi::testing::ReferencePartialCorrelation(bad, 0, 1, {2, 3});
+  ASSERT_TRUE(fast.ok());
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(*fast, *ref);
+  EXPECT_EQ(*fast, PartialCorrelationPrecisionFallback(bad, 0, 1, {2, 3}));
 }
 
 TEST(CorrelationTest, CompleteRowCountEdgePatterns) {

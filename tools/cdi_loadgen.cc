@@ -197,6 +197,11 @@ bool ParseArgs(int argc, char** argv, Args* args) {
                  "--scenarios (grid mode) excludes --sweep/--churn-rows\n");
     return false;
   }
+  if (args->queue_depth == 0) {
+    // A zero-depth queue sheds every request, so no client could finish.
+    std::fprintf(stderr, "--queue-depth must be >= 1\n");
+    return false;
+  }
   if (args->skew != "zipf" && args->skew != "uniform") {
     std::fprintf(stderr, "--skew must be zipf or uniform\n");
     return false;
@@ -776,16 +781,20 @@ int main(int argc, char** argv) {
           }
         }
         const std::size_t pick = rng.UniformInt(mix.size());
-        const auto response = server.Execute(mix[pick]);
+        // Closed-loop clients normally cannot overflow the queue, but a
+        // tiny --queue-depth can shed load: replay a shed request up to
+        // 200 times, 10 ms apart so a worker can drain the queue, then
+        // count it as an error.
+        auto response = server.Execute(mix[pick]);
+        for (int attempt = 1; attempt < 200 &&
+                              response.status.code() ==
+                                  cdi::StatusCode::kResourceExhausted;
+             ++attempt) {
+          retried.fetch_add(1, std::memory_order_relaxed);
+          std::this_thread::sleep_for(std::chrono::milliseconds(10));
+          response = server.Execute(mix[pick]);
+        }
         if (!response.status.ok()) {
-          // Closed-loop clients normally cannot overflow the queue, but a
-          // tiny --queue-depth can shed load; retry once then count.
-          if (response.status.code() ==
-              cdi::StatusCode::kResourceExhausted) {
-            retried.fetch_add(1, std::memory_order_relaxed);
-            --r;
-            continue;
-          }
           // Expected planner/summarizer rejections verify like any other
           // response.
           if (args.verify && !churn &&

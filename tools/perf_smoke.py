@@ -32,7 +32,7 @@ BENCH_FILTER = (
     "BM_ServeCacheMiss|BM_ServeSingleFlight|BM_ServePlannedQuery|"
     "BM_CdagArtifactBuild|BM_UpdateScenario|BM_WarmStartDiscovery|"
     "BM_RegisterScenario|BM_RegistryLookupSharded|BM_EvictionChurn|"
-    "BM_GramSimd|BM_PartialCorrBatched|BM_PcSkeletonBatched|"
+    "BM_GramSimd|BM_PartialCorrSubsets|BM_PcSkeletonDense|"
     "BM_SummarizeDag|BM_ServeSummaryHit"
 )
 
