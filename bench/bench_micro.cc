@@ -533,6 +533,30 @@ void BM_PipelineEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineEndToEnd)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+// The Knowledge Extractor alone (KG properties + lake join + relevance
+// scoring) on the default FLIGHTS (0) and COVID (1) specs, with the
+// evaluation options the pipeline runs it under. The lake's join index is
+// built with the scenario, outside the timed loop, as registration does.
+void BM_KnowledgeExtract(benchmark::State& state) {
+  const bool covid = state.range(0) != 0;
+  const cdi::datagen::ScenarioSpec spec =
+      covid ? cdi::datagen::CovidSpec() : cdi::datagen::FlightsSpec();
+  auto scenario = cdi::datagen::BuildScenario(spec);
+  CDI_CHECK(scenario.ok());
+  const auto& s = **scenario;
+  const cdi::core::KnowledgeExtractor extractor(
+      &s.kg, &s.lake, cdi::core::DefaultEvaluationOptions(s).extractor);
+  for (auto _ : state) {
+    auto extraction =
+        extractor.Extract(s.input_table, spec.entity_column,
+                          s.exposure_attribute, s.outcome_attribute);
+    CDI_CHECK(extraction.ok());
+    benchmark::DoNotOptimize(extraction->attributes.size());
+  }
+  state.SetLabel(covid ? "covid" : "flights");
+}
+BENCHMARK(BM_KnowledgeExtract)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 void BM_DSeparation(benchmark::State& state) {
   Rng rng(17);
   auto g = cdi::graph::RandomDag(static_cast<std::size_t>(state.range(0)),

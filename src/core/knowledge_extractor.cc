@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <set>
-#include <unordered_map>
 
 #include "common/span.h"
-#include "common/string_util.h"
 #include "stats/correlation.h"
 #include "stats/independence.h"
 #include "stats/descriptive.h"
@@ -17,16 +14,7 @@ namespace cdi::core {
 namespace {
 
 /// |corr| treating NaN results as 0.
-double AbsCorr(cdi::DoubleSpan a, cdi::DoubleSpan b) {
-  const double r = stats::PearsonCorrelation(a, b);
-  return std::isnan(r) ? 0.0 : std::fabs(r);
-}
-
-/// Outlier-robust association: max of |Pearson| and |Spearman|.
-double RobustAbsCorr(cdi::DoubleSpan a, cdi::DoubleSpan b) {
-  const double s = stats::SpearmanCorrelation(a, b);
-  return std::max(AbsCorr(a, b), std::isnan(s) ? 0.0 : std::fabs(s));
-}
+double AbsCorr(double r) { return std::isnan(r) ? 0.0 : std::fabs(r); }
 
 std::size_t PairwiseCount(cdi::DoubleSpan a, cdi::DoubleSpan b) {
   std::size_t n = 0;
@@ -34,6 +22,23 @@ std::size_t PairwiseCount(cdi::DoubleSpan a, cdi::DoubleSpan b) {
     if (!std::isnan(a[i]) && !std::isnan(b[i])) ++n;
   }
   return n;
+}
+
+/// A relevance reference with the work every candidate would otherwise
+/// redo computed once per Extract: its rank order (Spearman) and its
+/// tercile bins (the nonlinear test).
+struct Reference {
+  cdi::DoubleSpan vals;
+  std::vector<std::size_t> order;
+  std::vector<int> bins;
+};
+
+/// Outlier-robust association: max of |Pearson| and |Spearman|.
+double RobustAbsCorr(cdi::DoubleSpan a, const std::vector<std::size_t>& order,
+                     const Reference& ref) {
+  return std::max(
+      AbsCorr(stats::PearsonCorrelation(a, ref.vals)),
+      AbsCorr(stats::SpearmanFromOrders(a, order, ref.vals, ref.order)));
 }
 
 }  // namespace
@@ -65,18 +70,27 @@ Result<ExtractionResult> KnowledgeExtractor::Extract(
       reference_vals.push_back((*col)->View());
     }
   }
+  std::vector<Reference> references;
+  references.reserve(reference_vals.size());
+  for (const DoubleSpan& vals : reference_vals) {
+    Reference ref{vals, stats::RankOrder(vals), {}};
+    if (options_.nonlinear_relevance) ref.bins = stats::QuantileBin(vals, 3);
+    references.push_back(std::move(ref));
+  }
   // Relevance of a numeric column: strongest robust association with any
-  // reference, with its significance.
+  // reference, with its significance. References 0 and 1 are the exposure
+  // and the outcome.
   auto score_relevance = [&](DoubleSpan vals,
                              double* corr_t, double* corr_o,
                              double* relevance, bool* significant) {
-    *corr_t = RobustAbsCorr(vals, t_vals);
-    *corr_o = RobustAbsCorr(vals, o_vals);
+    const std::vector<std::size_t> order = stats::RankOrder(vals);
     *relevance = 0.0;
     double best_p = 1.0;
-    for (const auto& ref : reference_vals) {
-      const double r = RobustAbsCorr(vals, ref);
-      const std::size_t n = PairwiseCount(vals, ref);
+    for (std::size_t k = 0; k < references.size(); ++k) {
+      const double r = RobustAbsCorr(vals, order, references[k]);
+      if (k == 0) *corr_t = r;
+      if (k == 1) *corr_o = r;
+      const std::size_t n = PairwiseCount(vals, references[k].vals);
       best_p = std::min(best_p, stats::FisherZPValue(r, n, 0));
       *relevance = std::max(*relevance, r);
     }
@@ -85,8 +99,8 @@ Result<ExtractionResult> KnowledgeExtractor::Extract(
       // Spearman both miss (e.g. a U-shaped confounder). Cramer's V serves
       // as its effect size for the magnitude floor.
       const auto bv = stats::QuantileBin(vals, 3);
-      for (const auto& ref : reference_vals) {
-        auto r = stats::ChiSquareIndependence(bv, stats::QuantileBin(ref, 3));
+      for (const auto& ref : references) {
+        auto r = stats::ChiSquareIndependence(bv, ref.bins);
         if (r.ok()) {
           best_p = std::min(best_p, r->p_value);
           if (r->p_value < options_.relevance_alpha) {
@@ -99,7 +113,7 @@ Result<ExtractionResult> KnowledgeExtractor::Extract(
     // not slip in just because many references were tried.
     *significant =
         best_p < options_.relevance_alpha /
-                     static_cast<double>(reference_vals.size());
+                     static_cast<double>(references.size());
   };
 
   std::vector<std::string> keys;
@@ -147,66 +161,40 @@ Result<ExtractionResult> KnowledgeExtractor::Extract(
 
   // ---- Data-lake extraction. ----------------------------------------------
   if (lake_ != nullptr) {
-    // Rank joinable numeric columns by association with the outcome, then
-    // with the exposure, merging the two searches.
-    CDI_ASSIGN_OR_RETURN(
-        auto by_outcome,
-        lake_->FindCorrelatedColumns(keys, o_vals, options_.min_containment,
-                                     meter));
-    CDI_ASSIGN_OR_RETURN(
-        auto by_exposure,
-        lake_->FindCorrelatedColumns(keys, t_vals, options_.min_containment,
-                                     nullptr));  // second pass reuses scans
-    std::map<std::pair<std::size_t, std::string>, double> corr_o, corr_t;
-    for (const auto& c : by_outcome) {
-      corr_o[{c.table_index, c.value_column}] = c.abs_correlation;
-    }
-    for (const auto& c : by_exposure) {
-      corr_t[{c.table_index, c.value_column}] = c.abs_correlation;
-    }
-    // Materialize each candidate column aligned to the input rows.
+    // Join every numeric column of every joinable table once, rank the
+    // joined columns by association with the outcome, then with the
+    // exposure, and take candidates from the two rankings in turn.
+    std::vector<knowledge::DataLake::JoinedColumn> joined =
+        lake_->JoinColumns(keys, options_.min_containment, meter);
+    auto rank_by = [&joined](DoubleSpan target) {
+      std::vector<std::pair<double, std::size_t>> ranked;
+      for (std::size_t j = 0; j < joined.size(); ++j) {
+        const double r = stats::PearsonCorrelation(joined[j].values, target);
+        if (!std::isnan(r)) ranked.push_back({std::fabs(r), j});
+      }
+      std::stable_sort(ranked.begin(), ranked.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first > b.first;
+                       });
+      return ranked;
+    };
     std::set<std::pair<std::size_t, std::string>> seen;
-    auto add_lake_candidates =
-        [&](const std::vector<knowledge::DataLake::AugmentationCandidate>&
-                list) -> Status {
-      for (const auto& c : list) {
-        if (!seen.insert({c.table_index, c.value_column}).second) continue;
+    for (const DoubleSpan& target : {o_vals, t_vals}) {
+      for (const auto& [abs_r, j] : rank_by(target)) {
+        auto& jc = joined[j];
+        if (!seen.insert({jc.table_index, jc.value_column}).second) continue;
         ++result.lake_columns_found;
-        const table::Table& src = lake_->tables()[c.table_index];
-        CDI_ASSIGN_OR_RETURN(const table::Column* kcol,
-                             src.GetColumn(c.key_column));
-        CDI_ASSIGN_OR_RETURN(const table::Column* vcol,
-                             src.GetColumn(c.value_column));
-        // Mean per normalized key (handles duplicates and 1:N tables).
-        std::unordered_map<std::string, std::pair<double, double>> agg;
-        for (std::size_t r = 0; r < src.num_rows(); ++r) {
-          if (kcol->IsNull(r) || vcol->IsNull(r)) continue;
-          auto& [sum, count] =
-              agg[NormalizeEntityName(kcol->Get(r).ToString())];
-          sum += vcol->NumericAt(r);
-          count += 1;
-        }
-        std::vector<double> aligned(keys.size(), std::nan(""));
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-          auto it = agg.find(NormalizeEntityName(keys[i]));
-          if (it != agg.end() && it->second.second > 0) {
-            aligned[i] = it->second.first / it->second.second;
-          }
-        }
-        Candidate cand{table::Column::FromDoubles(c.value_column, aligned),
+        Candidate cand{table::Column::FromDoubles(jc.value_column, jc.values),
                        {},
                        0.0};
-        cand.info.name = c.value_column;
-        cand.info.source = src.name();
-        score_relevance(aligned, &cand.info.corr_with_exposure,
+        cand.info.name = jc.value_column;
+        cand.info.source = lake_->tables()[jc.table_index].name();
+        score_relevance(jc.values, &cand.info.corr_with_exposure,
                         &cand.info.corr_with_outcome, &cand.relevance,
                         &cand.significant);
         candidates.push_back(std::move(cand));
       }
-      return Status::OK();
-    };
-    CDI_RETURN_IF_ERROR(add_lake_candidates(by_outcome));
-    CDI_RETURN_IF_ERROR(add_lake_candidates(by_exposure));
+    }
   }
 
   // ---- Relevance filter + assembly. ----------------------------------------

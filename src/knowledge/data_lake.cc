@@ -2,52 +2,145 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
-#include <unordered_map>
+#include <limits>
+#include <unordered_set>
 
 #include "common/string_util.h"
 #include "stats/descriptive.h"
 
 namespace cdi::knowledge {
 
-namespace {
-
-std::set<std::string> NormalizedValueSet(const table::Column& col) {
-  std::set<std::string> out;
-  for (std::size_t r = 0; r < col.size(); ++r) {
-    if (!col.IsNull(r)) out.insert(NormalizeEntityName(col.Get(r).ToString()));
+void DataLake::AddTable(table::Table t) {
+  std::vector<std::size_t> numeric;
+  for (std::size_t c = 0; c < t.num_cols(); ++c) {
+    if (table::IsNumeric(t.ColumnAt(c).type())) numeric.push_back(c);
   }
-  return out;
+  std::vector<KeyIndex> indexes;
+  std::vector<std::int32_t> row_slot(t.num_rows());
+  for (std::size_t c = 0; c < t.num_cols(); ++c) {
+    const table::Column& col = t.ColumnAt(c);
+    if (col.type() != table::DataType::kString) continue;
+    KeyIndex ki;
+    ki.column = c;
+    for (std::size_t r = 0; r < t.num_rows(); ++r) {
+      row_slot[r] = -1;
+      if (col.IsNull(r)) continue;
+      std::string key = NormalizeEntityName(col.StringAt(r));
+      if (key.empty()) continue;
+      const auto next_id = static_cast<std::int64_t>(key_ids_.size());
+      const auto id = static_cast<std::size_t>(
+          key_ids_.try_emplace(std::move(key), next_id).first->second);
+      if (id >= ki.slot_of_id.size()) ki.slot_of_id.resize(id + 1, -1);
+      std::int32_t& slot = ki.slot_of_id[id];
+      if (slot < 0) slot = static_cast<std::int32_t>(ki.num_slots++);
+      row_slot[r] = slot;
+    }
+    // Mean per slot, summed in row order (the order a scan-and-aggregate
+    // join would add them in, so the doubles match it bit for bit).
+    for (std::size_t v : numeric) {
+      const table::Column& vcol = t.ColumnAt(v);
+      std::vector<double> sum(ki.num_slots, 0.0);
+      std::vector<double> count(ki.num_slots, 0.0);
+      for (std::size_t r = 0; r < t.num_rows(); ++r) {
+        if (row_slot[r] < 0 || vcol.IsNull(r)) continue;
+        sum[row_slot[r]] += vcol.NumericAt(r);
+        count[row_slot[r]] += 1;
+      }
+      for (std::size_t s = 0; s < ki.num_slots; ++s) {
+        sum[s] = count[s] > 0 ? sum[s] / count[s]
+                              : std::numeric_limits<double>::quiet_NaN();
+      }
+      ki.value_columns.push_back(v);
+      ki.means.push_back(std::move(sum));
+    }
+    indexes.push_back(std::move(ki));
+  }
+  tables_.push_back(std::move(t));
+  key_indexes_.push_back(std::move(indexes));
 }
 
-}  // namespace
+DataLake::Probe DataLake::ProbeKeys(
+    const std::vector<std::string>& keys) const {
+  Probe probe;
+  probe.ids.assign(keys.size(), -1);
+  std::unordered_set<std::string> unknown;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    std::string key = NormalizeEntityName(keys[i]);
+    if (key.empty()) continue;
+    auto it = key_ids_.find(key);
+    if (it == key_ids_.end()) {
+      unknown.insert(std::move(key));
+    } else {
+      probe.ids[i] = it->second;
+      probe.distinct_ids.push_back(it->second);
+    }
+  }
+  std::sort(probe.distinct_ids.begin(), probe.distinct_ids.end());
+  probe.distinct_ids.erase(
+      std::unique(probe.distinct_ids.begin(), probe.distinct_ids.end()),
+      probe.distinct_ids.end());
+  probe.distinct_keys = probe.distinct_ids.size() + unknown.size();
+  return probe;
+}
+
+std::vector<DataLake::Joinable> DataLake::FindJoinableIndexed(
+    const Probe& probe, double min_containment, LatencyMeter* meter) const {
+  std::vector<Joinable> out;
+  if (probe.distinct_keys == 0) return out;
+  for (std::size_t t = 0; t < tables_.size(); ++t) {
+    if (meter != nullptr) meter->Charge(kServiceName, kSecondsPerTableScan);
+    for (const KeyIndex& ki : key_indexes_[t]) {
+      std::size_t hits = 0;
+      for (std::int64_t id : probe.distinct_ids) hits += ki.Slot(id) >= 0;
+      const double containment = static_cast<double>(hits) /
+                                 static_cast<double>(probe.distinct_keys);
+      if (containment >= min_containment) out.push_back({t, &ki, containment});
+    }
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const Joinable& a, const Joinable& b) {
+                     return a.containment > b.containment;
+                   });
+  return out;
+}
 
 std::vector<DataLake::JoinCandidate> DataLake::FindJoinable(
     const std::vector<std::string>& keys, double min_containment,
     LatencyMeter* meter) const {
-  std::set<std::string> key_set;
-  for (const auto& k : keys) key_set.insert(NormalizeEntityName(k));
   std::vector<JoinCandidate> out;
-  if (key_set.empty()) return out;
-  for (std::size_t t = 0; t < tables_.size(); ++t) {
-    if (meter != nullptr) meter->Charge(kServiceName, kSecondsPerTableScan);
-    for (std::size_t c = 0; c < tables_[t].num_cols(); ++c) {
-      const table::Column& col = tables_[t].ColumnAt(c);
-      if (col.type() != table::DataType::kString) continue;
-      const auto values = NormalizedValueSet(col);
-      std::size_t hits = 0;
-      for (const auto& k : key_set) hits += values.count(k);
-      const double containment =
-          static_cast<double>(hits) / static_cast<double>(key_set.size());
-      if (containment >= min_containment) {
-        out.push_back({t, col.name(), containment});
+  for (const Joinable& j :
+       FindJoinableIndexed(ProbeKeys(keys), min_containment, meter)) {
+    out.push_back({j.table_index,
+                   tables_[j.table_index].ColumnAt(j.key->column).name(),
+                   j.containment});
+  }
+  return out;
+}
+
+std::vector<DataLake::JoinedColumn> DataLake::JoinColumns(
+    const std::vector<std::string>& keys, double min_containment,
+    LatencyMeter* meter) const {
+  const Probe probe = ProbeKeys(keys);
+  std::vector<JoinedColumn> out;
+  for (const Joinable& j :
+       FindJoinableIndexed(probe, min_containment, meter)) {
+    const table::Table& t = tables_[j.table_index];
+    for (std::size_t v = 0; v < j.key->value_columns.size(); ++v) {
+      const std::vector<double>& means = j.key->means[v];
+      JoinedColumn jc;
+      jc.table_index = j.table_index;
+      jc.key_column = t.ColumnAt(j.key->column).name();
+      jc.value_column = t.ColumnAt(j.key->value_columns[v]).name();
+      jc.containment = j.containment;
+      jc.values.resize(keys.size());
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        const std::int32_t slot = j.key->Slot(probe.ids[i]);
+        jc.values[i] = slot < 0 ? std::numeric_limits<double>::quiet_NaN()
+                                : means[slot];
       }
+      out.push_back(std::move(jc));
     }
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const JoinCandidate& a, const JoinCandidate& b) {
-                     return a.containment > b.containment;
-                   });
   return out;
 }
 
@@ -59,42 +152,12 @@ DataLake::FindCorrelatedColumns(const std::vector<std::string>& keys,
   if (keys.size() != target.size()) {
     return Status::InvalidArgument("keys/target size mismatch");
   }
-  const auto joinable = FindJoinable(keys, min_containment, meter);
   std::vector<AugmentationCandidate> out;
-  for (const auto& jc : joinable) {
-    const table::Table& t = tables_[jc.table_index];
-    CDI_ASSIGN_OR_RETURN(const table::Column* key_col,
-                         t.GetColumn(jc.key_column));
-    // Mean of each numeric column per normalized key value.
-    for (std::size_t c = 0; c < t.num_cols(); ++c) {
-      const table::Column& col = t.ColumnAt(c);
-      if (!table::IsNumeric(col.type())) continue;
-      std::unordered_map<std::string, std::pair<double, double>> agg;
-      for (std::size_t r = 0; r < t.num_rows(); ++r) {
-        if (key_col->IsNull(r) || col.IsNull(r)) continue;
-        auto& [sum, count] =
-            agg[NormalizeEntityName(key_col->Get(r).ToString())];
-        sum += col.NumericAt(r);
-        count += 1;
-      }
-      // Align with the input keys.
-      std::vector<double> aligned(keys.size(), std::nan(""));
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        auto it = agg.find(NormalizeEntityName(keys[i]));
-        if (it != agg.end() && it->second.second > 0) {
-          aligned[i] = it->second.first / it->second.second;
-        }
-      }
-      const double r = stats::PearsonCorrelation(aligned, target);
-      if (std::isnan(r)) continue;
-      AugmentationCandidate ac;
-      ac.table_index = jc.table_index;
-      ac.key_column = jc.key_column;
-      ac.value_column = col.name();
-      ac.containment = jc.containment;
-      ac.abs_correlation = std::fabs(r);
-      out.push_back(ac);
-    }
+  for (const JoinedColumn& jc : JoinColumns(keys, min_containment, meter)) {
+    const double r = stats::PearsonCorrelation(jc.values, target);
+    if (std::isnan(r)) continue;
+    out.push_back({jc.table_index, jc.key_column, jc.value_column,
+                   jc.containment, std::fabs(r)});
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const AugmentationCandidate& a,
@@ -102,6 +165,24 @@ DataLake::FindCorrelatedColumns(const std::vector<std::string>& keys,
                      return a.abs_correlation > b.abs_correlation;
                    });
   return out;
+}
+
+std::size_t DataLake::IndexBytes() const {
+  std::size_t bytes = 0;
+  for (const auto& [key, id] : key_ids_) {
+    bytes += key.size() + sizeof(std::string) + sizeof(id);
+  }
+  for (const auto& indexes : key_indexes_) {
+    for (const KeyIndex& ki : indexes) {
+      bytes += sizeof(KeyIndex) +
+               ki.slot_of_id.size() * sizeof(std::int32_t) +
+               ki.value_columns.size() * sizeof(std::size_t);
+      for (const auto& m : ki.means) {
+        bytes += sizeof(m) + m.size() * sizeof(double);
+      }
+    }
+  }
+  return bytes;
 }
 
 }  // namespace cdi::knowledge

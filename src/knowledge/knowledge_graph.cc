@@ -69,35 +69,43 @@ Result<std::string> KnowledgeGraph::GetLink(const std::string& entity,
 Result<table::Table> KnowledgeGraph::ExtractProperties(
     const std::vector<std::string>& surface_keys, const std::string& key_name,
     bool follow_links, LatencyMeter* meter) const {
-  // Resolve every key (null on failure).
-  std::vector<std::string> resolved(surface_keys.size());
-  std::vector<bool> linked(surface_keys.size(), false);
-  for (std::size_t i = 0; i < surface_keys.size(); ++i) {
+  using LiteralMap = std::map<std::string, table::Value>;
+  using LinkMap = std::map<std::string, std::string>;
+  static const LiteralMap kNoLiterals;
+  static const LinkMap kNoLinks;
+  // Resolve every key to its entity's literal and link maps, looked up
+  // once per row (empty when the key does not link).
+  const std::size_t n = surface_keys.size();
+  std::vector<const LiteralMap*> row_literals(n, &kNoLiterals);
+  std::vector<const LinkMap*> row_links(n, &kNoLinks);
+  for (std::size_t i = 0; i < n; ++i) {
     if (meter != nullptr) meter->Charge(kServiceName, kSecondsPerLookup);
     auto link = linker_.Link(surface_keys[i]);
-    if (link.ok()) {
-      resolved[i] = link->canonical;
-      linked[i] = true;
+    if (!link.ok()) continue;
+    if (auto it = literals_.find(link->canonical); it != literals_.end()) {
+      row_literals[i] = &it->second;
+    }
+    if (auto it = links_.find(link->canonical); it != links_.end()) {
+      row_links[i] = &it->second;
     }
   }
+  // The literals of a link's target (empty for a dangling link).
+  auto target_literals = [&](const std::string& target) -> const LiteralMap* {
+    auto it = target.empty() ? literals_.end() : literals_.find(target);
+    return it == literals_.end() ? &kNoLiterals : &it->second;
+  };
 
   // Collect the union of property columns in deterministic order.
   std::set<std::string> literal_cols;
   // link property -> set of sub-properties
   std::map<std::string, std::set<std::string>> link_cols;
-  for (std::size_t i = 0; i < surface_keys.size(); ++i) {
-    if (!linked[i]) continue;
-    for (const auto& p : LiteralProperties(resolved[i])) {
-      literal_cols.insert(p);
-    }
-    if (follow_links) {
-      for (const auto& lp : LinkProperties(resolved[i])) {
-        auto target = GetLink(resolved[i], lp);
-        if (!target.ok()) continue;
-        if (meter != nullptr) meter->Charge(kServiceName, kSecondsPerLookup);
-        for (const auto& sp : LiteralProperties(*target)) {
-          link_cols[lp].insert(sp);
-        }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const auto& [p, v] : *row_literals[i]) literal_cols.insert(p);
+    if (!follow_links) continue;
+    for (const auto& [lp, target] : *row_links[i]) {
+      if (meter != nullptr) meter->Charge(kServiceName, kSecondsPerLookup);
+      for (const auto& [sp, v] : *target_literals(target)) {
+        link_cols[lp].insert(sp);
       }
     }
   }
@@ -113,30 +121,26 @@ Result<table::Table> KnowledgeGraph::ExtractProperties(
     for (const auto& sp : subs) pending.push_back({lp + "_" + sp, {}});
   }
 
-  for (std::size_t i = 0; i < surface_keys.size(); ++i) {
-    std::size_t c = 0;
-    for (const auto& p : literal_cols) {
-      table::Value v;
-      if (linked[i]) {
-        auto got = GetLiteral(resolved[i], p);
-        if (got.ok()) v = *got;
-      }
-      pending[c++].values.push_back(std::move(v));
+  // Each row walks the sorted column names beside its entity's sorted
+  // property map: one pass per row, no per-cell lookup.
+  std::size_t c = 0;
+  auto emit_row = [&](const std::set<std::string>& cols,
+                      const LiteralMap& values) {
+    auto it = values.begin();
+    for (const auto& p : cols) {
+      while (it != values.end() && it->first < p) ++it;
+      pending[c++].values.push_back(
+          it != values.end() && it->first == p ? it->second : table::Value());
     }
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    c = 0;
+    emit_row(literal_cols, *row_literals[i]);
+    auto link = row_links[i]->begin();
     for (const auto& [lp, subs] : link_cols) {
-      std::string target;
-      if (linked[i]) {
-        auto t = GetLink(resolved[i], lp);
-        if (t.ok()) target = *t;
-      }
-      for (const auto& sp : subs) {
-        table::Value v;
-        if (!target.empty()) {
-          auto got = GetLiteral(target, sp);
-          if (got.ok()) v = *got;
-        }
-        pending[c++].values.push_back(std::move(v));
-      }
+      while (link != row_links[i]->end() && link->first < lp) ++link;
+      const bool has_link = link != row_links[i]->end() && link->first == lp;
+      emit_row(subs, has_link ? *target_literals(link->second) : kNoLiterals);
     }
   }
 

@@ -59,6 +59,7 @@ std::size_t EstimateBundleBytes(const ScenarioBundle& bundle) {
   for (const auto& [from, to] : bundle.warm_start_edges) {
     bytes += from.size() + to.size() + 2 * sizeof(std::string);
   }
+  if (bundle.scenario != nullptr) bytes += bundle.scenario->lake.IndexBytes();
   return bytes;
 }
 

@@ -86,9 +86,12 @@ struct ScenarioBundle {
 
 /// Deterministic estimate of a bundle's resident heap bytes: the live
 /// input table's buffers (Table::ByteSize — content-based, no capacity
-/// slack) plus the sufficient-statistics accumulators and the attribute
-/// name list. Knowledge assets (KG / lake / oracle) are shared across
-/// epochs of a scenario and are charged with the table they ride in on.
+/// slack), the sufficient-statistics accumulators, the attribute name
+/// list, and the data lake's join index (DataLake::IndexBytes), which the
+/// lake builds at load time so extraction never rescans it. The KG, the
+/// lake's own tables and the oracle are not counted. Every epoch of a
+/// scenario shares one lake, and the registry holds one bundle per name,
+/// so the index is charged once per live scenario.
 std::size_t EstimateBundleBytes(const ScenarioBundle& bundle);
 
 struct RegistryOptions {

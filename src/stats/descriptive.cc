@@ -183,6 +183,54 @@ double SpearmanCorrelation(DoubleSpan x,
   return PearsonCorrelation(AverageRanks(xv), AverageRanks(yv));
 }
 
+std::vector<std::size_t> RankOrder(DoubleSpan x) {
+  std::vector<std::size_t> order;
+  order.reserve(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (!std::isnan(x[i])) order.push_back(i);
+  }
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return x[a] < x[b]; });
+  return order;
+}
+
+namespace {
+
+/// AverageRanks over the rows of `order` where `other` is not NaN, written
+/// to `ranks` at each such row.
+void AverageRanksFromOrder(DoubleSpan v, const std::vector<std::size_t>& order,
+                           DoubleSpan other, std::vector<double>* ranks) {
+  std::vector<std::size_t> kept;
+  kept.reserve(order.size());
+  for (std::size_t r : order) {
+    if (!std::isnan(other[r])) kept.push_back(r);
+  }
+  const std::size_t n = kept.size();
+  std::size_t i = 0;
+  while (i < n) {
+    std::size_t j = i;
+    while (j + 1 < n && v[kept[j + 1]] == v[kept[i]]) ++j;
+    const double avg = 0.5 * (static_cast<double>(i) + static_cast<double>(j)) + 1.0;
+    for (std::size_t k = i; k <= j; ++k) (*ranks)[kept[k]] = avg;
+    i = j + 1;
+  }
+}
+
+}  // namespace
+
+double SpearmanFromOrders(DoubleSpan x, const std::vector<std::size_t>& x_order,
+                          DoubleSpan y, const std::vector<std::size_t>& y_order) {
+  if (x.size() != y.size()) return kNaN;
+  // NaN-filled outside the pairwise-complete rows, so the Pearson below
+  // sums exactly the complete rows, in row order, as SpearmanCorrelation's
+  // compacted vectors do.
+  std::vector<double> rx(x.size(), kNaN);
+  std::vector<double> ry(y.size(), kNaN);
+  AverageRanksFromOrder(x, x_order, y, &rx);
+  AverageRanksFromOrder(y, y_order, x, &ry);
+  return PearsonCorrelation(rx, ry);
+}
+
 std::vector<double> Standardize(DoubleSpan x) {
   const double m = Mean(x);
   const double s = StdDev(x);

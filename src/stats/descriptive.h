@@ -51,6 +51,18 @@ double PearsonCorrelation(DoubleSpan x,
 double SpearmanCorrelation(DoubleSpan x,
                            DoubleSpan y);
 
+/// Ascending order of the non-NaN rows of `x`: the presort
+/// SpearmanFromOrders reads ranks from, so a column ranked against many
+/// others is sorted once.
+std::vector<std::size_t> RankOrder(DoubleSpan x);
+
+/// SpearmanCorrelation(x, y) bit for bit, given RankOrder(x) and
+/// RankOrder(y). Average ranks depend only on the pairwise-complete value
+/// set, so each side's ranks are read off its presorted order filtered to
+/// the rows the other side has, in O(n) instead of a sort.
+double SpearmanFromOrders(DoubleSpan x, const std::vector<std::size_t>& x_order,
+                          DoubleSpan y, const std::vector<std::size_t>& y_order);
+
 /// (x - mean) / stddev; NaN entries stay NaN. A constant vector maps to all
 /// zeros.
 std::vector<double> Standardize(DoubleSpan x);

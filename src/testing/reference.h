@@ -1,9 +1,12 @@
 #ifndef CDI_TESTING_REFERENCE_H_
 #define CDI_TESTING_REFERENCE_H_
 
+#include <string>
 #include <vector>
 
+#include "common/span.h"
 #include "common/status.h"
+#include "knowledge/data_lake.h"
 #include "stats/matrix.h"
 
 namespace cdi::testing {
@@ -15,6 +18,25 @@ namespace cdi::testing {
 Result<double> ReferencePartialCorrelation(
     const stats::Matrix& corr, std::size_t i, std::size_t j,
     const std::vector<std::size_t>& given);
+
+/// Scan references for the data lake's indexed searches: each call
+/// normalizes and aggregates every lake row afresh, as the lake did before
+/// it kept a join index. Keys follow the lake's rule that an empty
+/// normalized key never joins and never counts toward containment.
+/// DataLake::FindJoinable / JoinColumns / FindCorrelatedColumns must agree
+/// with them exactly, every containment and aligned double included.
+std::vector<knowledge::DataLake::JoinCandidate> ReferenceFindJoinable(
+    const knowledge::DataLake& lake, const std::vector<std::string>& keys,
+    double min_containment);
+
+std::vector<knowledge::DataLake::JoinedColumn> ReferenceJoinColumns(
+    const knowledge::DataLake& lake, const std::vector<std::string>& keys,
+    double min_containment);
+
+Result<std::vector<knowledge::DataLake::AugmentationCandidate>>
+ReferenceFindCorrelatedColumns(const knowledge::DataLake& lake,
+                               const std::vector<std::string>& keys,
+                               DoubleSpan target, double min_containment);
 
 }  // namespace cdi::testing
 

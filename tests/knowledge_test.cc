@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "knowledge/data_lake.h"
@@ -8,6 +14,7 @@
 #include "knowledge/knowledge_graph.h"
 #include "knowledge/text_oracle.h"
 #include "knowledge/topic_model.h"
+#include "testing/reference.h"
 
 namespace cdi::knowledge {
 namespace {
@@ -110,6 +117,57 @@ TEST(KnowledgeGraphTest, LinkFollowingExtractsSubProperties) {
   EXPECT_DOUBLE_EQ(t->GetCell(0, "governor_tenure_years")->as_double(), 2.0);
 }
 
+// The row walk reads each cell off the entity's sorted property map; it
+// must agree with a per-cell GetLiteral/GetLink lookup on sparse entities,
+// several link properties, a link whose target has no literals, and rows
+// that do not link.
+TEST(KnowledgeGraphTest, ExtractPropertiesMatchesPerCellLookups) {
+  KnowledgeGraph kg;
+  Rng rng(5);
+  const std::vector<std::string> props = {"a", "b", "c", "d", "e"};
+  for (int e = 0; e < 12; ++e) {
+    const std::string name = "entity" + std::to_string(e);
+    for (const auto& p : props) {
+      if (rng.Bernoulli(0.5)) kg.AddLiteral(name, p, table::Value(e * 1.0));
+    }
+    kg.AddLiteral("hub" + std::to_string(e % 3), props[e % 5],
+                  table::Value(e + 0.5));
+    if (e % 2 == 0) kg.AddLink(name, "home", "hub" + std::to_string(e % 3));
+    if (e % 3 == 0) kg.AddLink(name, "owner", "hub" + std::to_string(e % 2));
+    if (e % 4 == 0) kg.AddLink(name, "alias_of", "nowhere");  // dangling
+  }
+  std::vector<std::string> keys = {"unknown"};
+  for (int e = 0; e < 12; ++e) keys.push_back("entity" + std::to_string(e));
+  auto t = kg.ExtractProperties(keys, "key", /*follow_links=*/true, nullptr);
+  ASSERT_TRUE(t.ok());
+  std::size_t cells = 0;
+  for (std::size_t c = 0; c < t->num_cols(); ++c) {
+    const std::string& col = t->ColumnAt(c).name();
+    if (col == "key") continue;
+    for (std::size_t r = 0; r < keys.size(); ++r) {
+      table::Value want;
+      const auto split = col.find('_');
+      if (split == std::string::npos) {
+        auto got = kg.GetLiteral(keys[r], col);
+        if (got.ok()) want = *got;
+      } else if (auto target = kg.GetLink(keys[r], col.substr(0, split));
+                 target.ok()) {
+        auto got = kg.GetLiteral(*target, col.substr(split + 1));
+        if (got.ok()) want = *got;
+      }
+      const table::Value cell = *t->GetCell(r, col);
+      EXPECT_EQ(cell.is_null(), want.is_null()) << col << " row " << r;
+      if (!want.is_null()) {
+        EXPECT_EQ(cell.ToNumeric(), want.ToNumeric()) << col << " row " << r;
+        ++cells;
+      }
+    }
+  }
+  EXPECT_TRUE(t->HasColumn("home_a"));
+  EXPECT_TRUE(t->HasColumn("owner_a"));
+  EXPECT_GT(cells, 40u);
+}
+
 TEST(KnowledgeGraphTest, LatencyCharged) {
   KnowledgeGraph kg = SmallKg();
   LatencyMeter meter;
@@ -183,6 +241,248 @@ TEST(DataLakeTest, LatencyChargedPerTableScan) {
   LatencyMeter meter;
   lake.FindJoinable({"Massachusetts"}, 0.9, &meter);
   EXPECT_EQ(meter.Calls(DataLake::kServiceName), 2);  // two tables
+}
+
+// A null input key renders as "" and a lake cell like "-" normalizes to
+// "": the two must not join, and neither counts toward containment.
+TEST(DataLakeTest, EmptyNormalizedKeysNeverJoin) {
+  std::vector<std::string> keys;
+  std::vector<double> target;
+  table::Column lake_keys("entity", table::DataType::kString);
+  std::vector<double> lake_values;
+  for (int i = 0; i < 19; ++i) {
+    const std::string id = std::to_string(i);
+    keys.push_back("E" + id);
+    target.push_back(i + 0.1 * (i % 3));
+    CDI_CHECK(lake_keys.AppendString("e" + id).ok());
+    lake_values.push_back(i);
+  }
+  keys.push_back("");  // the null entity cell
+  target.push_back(5.0);
+  CDI_CHECK(lake_keys.AppendString("-").ok());
+  lake_values.push_back(1000.0);
+  table::Table t("facts");
+  CDI_CHECK(t.AddColumn(std::move(lake_keys)).ok());
+  CDI_CHECK(
+      t.AddColumn(table::Column::FromDoubles("value", lake_values)).ok());
+  DataLake lake;
+  lake.AddTable(std::move(t));
+
+  const auto joined = lake.JoinColumns(keys, 0.6);
+  ASSERT_EQ(joined.size(), 1u);
+  EXPECT_TRUE(std::isnan(joined[0].values.back()));
+  EXPECT_EQ(joined[0].values[3], 3.0);
+  auto ranked = lake.FindCorrelatedColumns(keys, target, 0.6);
+  ASSERT_TRUE(ranked.ok());
+  ASSERT_EQ(ranked->size(), 1u);
+  EXPECT_GT((*ranked)[0].abs_correlation, 0.99);
+
+  // Containment counts only the non-empty keys on both sides: "" is no
+  // hit against "-", and it leaves the denominator.
+  const auto joinable = lake.FindJoinable({"", "E1", "absent"}, 0.0);
+  ASSERT_EQ(joinable.size(), 1u);
+  EXPECT_EQ(joinable[0].containment, 0.5);
+  // Only empty keys: nothing to join, and no table is scanned.
+  LatencyMeter meter;
+  EXPECT_TRUE(lake.FindJoinable({"", " - "}, 0.0, &meter).empty());
+  EXPECT_EQ(meter.Calls(DataLake::kServiceName), 0);
+}
+
+// ------------------------------------------- DataLake index vs scan oracle
+
+void ExpectSameDouble(double a, double b) {
+  EXPECT_EQ(std::isnan(a), std::isnan(b)) << a << " vs " << b;
+  if (!std::isnan(a)) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+        << a << " vs " << b;
+  }
+}
+
+/// A surface form of entity `e` that normalizes to "ent_<e>" (case, padding
+/// and separators vary).
+std::string EntityForm(Rng& rng, int e) {
+  static const char* const kForms[] = {"ent_%d", "ENT %d", " Ent-%d ",
+                                       "ent__%d!"};
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), kForms[rng.UniformInt(4)], e);
+  return buf;
+}
+
+/// A key cell that is null, or normalizes to the empty string.
+void AppendJunkKey(Rng& rng, table::Column* col) {
+  static const char* const kJunk[] = {"-", "", "  ", "?!"};
+  const auto pick = rng.UniformInt(5);
+  if (pick == 4) {
+    col->AppendNull();
+  } else {
+    CDI_CHECK(col->AppendString(kJunk[pick]).ok());
+  }
+}
+
+/// A randomized lake over entities 0..entities-1: a 1:N fact table with
+/// duplicate, null and empty-normalizing keys, a double and an int64 value
+/// column (with nulls); a table keyed by two string columns over different
+/// entity ranges; and a decoy table whose keys match nothing.
+DataLake RandomLake(Rng& rng, int entities) {
+  DataLake lake;
+  {
+    table::Column key("entity", table::DataType::kString);
+    table::Column dval("measure", table::DataType::kDouble);
+    table::Column ival("count", table::DataType::kInt64);
+    const int rows = entities * 2;
+    for (int r = 0; r < rows; ++r) {
+      if (rng.Bernoulli(0.1)) {
+        AppendJunkKey(rng, &key);
+      } else {
+        // Half the rows draw from the lower half of the ids, so low ids
+        // repeat (1:N) and some high ids never appear.
+        const int range = rng.Bernoulli(0.5) ? entities / 2 + 1 : entities;
+        const int e = static_cast<int>(
+            rng.UniformInt(static_cast<std::uint64_t>(range)));
+        CDI_CHECK(key.AppendString(EntityForm(rng, e)).ok());
+      }
+      if (rng.Bernoulli(0.15)) {
+        dval.AppendNull();
+      } else {
+        CDI_CHECK(dval.AppendDouble(rng.Normal(0.0, 10.0)).ok());
+      }
+      if (rng.Bernoulli(0.15)) {
+        ival.AppendNull();
+      } else {
+        CDI_CHECK(ival.AppendInt64(rng.UniformInt(-50, 50)).ok());
+      }
+    }
+    table::Table t("facts");
+    CDI_CHECK(t.AddColumn(std::move(key)).ok());
+    CDI_CHECK(t.AddColumn(std::move(dval)).ok());
+    CDI_CHECK(t.AddColumn(std::move(ival)).ok());
+    lake.AddTable(std::move(t));
+  }
+  {
+    table::Column a("left_key", table::DataType::kString);
+    table::Column b("right_key", table::DataType::kString);
+    std::vector<double> v;
+    for (int r = 0; r < entities; ++r) {
+      CDI_CHECK(a.AppendString(EntityForm(rng, r)).ok());
+      if (rng.Bernoulli(0.1)) {
+        AppendJunkKey(rng, &b);
+      } else {
+        CDI_CHECK(b.AppendString(EntityForm(rng, entities / 2 + r)).ok());
+      }
+      v.push_back(rng.Uniform(-1.0, 1.0));
+    }
+    table::Table t("two_keys");
+    CDI_CHECK(t.AddColumn(std::move(a)).ok());
+    CDI_CHECK(t.AddColumn(std::move(b)).ok());
+    CDI_CHECK(t.AddColumn(table::Column::FromDoubles("score", v)).ok());
+    lake.AddTable(std::move(t));
+  }
+  {
+    std::vector<std::string> skus;
+    std::vector<double> prices;
+    for (int r = 0; r < 10; ++r) {
+      skus.push_back("sku" + std::to_string(r));
+      prices.push_back(r * 1.5);
+    }
+    table::Table t("decoy");
+    CDI_CHECK(t.AddColumn(table::Column::FromStrings("sku", skus)).ok());
+    CDI_CHECK(t.AddColumn(table::Column::FromDoubles("price", prices)).ok());
+    lake.AddTable(std::move(t));
+  }
+  return lake;
+}
+
+TEST(DataLakeIndexTest, MatchesScanReferenceOnRandomLakes) {
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const int entities = 20 + static_cast<int>(rng.UniformInt(40));
+    const DataLake lake = RandomLake(rng, entities);
+    // Input keys: mostly lake entities (including ones the lake lacks,
+    // past `entities`), with null cells, repeats and empty forms.
+    std::vector<std::string> keys;
+    std::vector<double> target;
+    const int n = 30 + static_cast<int>(rng.UniformInt(40));
+    for (int i = 0; i < n; ++i) {
+      keys.push_back(rng.Bernoulli(0.08)
+                         ? std::string(rng.Bernoulli(0.5) ? "" : "--")
+                         : EntityForm(rng, static_cast<int>(rng.UniformInt(
+                                               entities * 5 / 4))));
+      target.push_back(rng.Bernoulli(0.05)
+                           ? std::numeric_limits<double>::quiet_NaN()
+                           : rng.Normal());
+    }
+    for (double min_containment : {0.0, 0.3, 0.6, 0.9}) {
+      SCOPED_TRACE("min_containment " + std::to_string(min_containment));
+      LatencyMeter meter;
+      const auto joinable = lake.FindJoinable(keys, min_containment, &meter);
+      EXPECT_EQ(meter.Calls(DataLake::kServiceName), 3);
+      const auto want_joinable =
+          testing::ReferenceFindJoinable(lake, keys, min_containment);
+      ASSERT_EQ(joinable.size(), want_joinable.size());
+      for (std::size_t j = 0; j < joinable.size(); ++j) {
+        EXPECT_EQ(joinable[j].table_index, want_joinable[j].table_index);
+        EXPECT_EQ(joinable[j].key_column, want_joinable[j].key_column);
+        EXPECT_EQ(joinable[j].containment, want_joinable[j].containment);
+      }
+
+      LatencyMeter join_meter;
+      const auto joined = lake.JoinColumns(keys, min_containment, &join_meter);
+      EXPECT_EQ(join_meter.Calls(DataLake::kServiceName), 3);
+      const auto want_joined =
+          testing::ReferenceJoinColumns(lake, keys, min_containment);
+      ASSERT_EQ(joined.size(), want_joined.size());
+      for (std::size_t j = 0; j < joined.size(); ++j) {
+        EXPECT_EQ(joined[j].table_index, want_joined[j].table_index);
+        EXPECT_EQ(joined[j].key_column, want_joined[j].key_column);
+        EXPECT_EQ(joined[j].value_column, want_joined[j].value_column);
+        EXPECT_EQ(joined[j].containment, want_joined[j].containment);
+        ASSERT_EQ(joined[j].values.size(), keys.size());
+        ASSERT_EQ(want_joined[j].values.size(), keys.size());
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+          ExpectSameDouble(joined[j].values[i], want_joined[j].values[i]);
+        }
+      }
+
+      auto ranked = lake.FindCorrelatedColumns(keys, target, min_containment);
+      auto want_ranked = testing::ReferenceFindCorrelatedColumns(
+          lake, keys, target, min_containment);
+      ASSERT_TRUE(ranked.ok());
+      ASSERT_TRUE(want_ranked.ok());
+      ASSERT_EQ(ranked->size(), want_ranked->size());
+      for (std::size_t j = 0; j < ranked->size(); ++j) {
+        EXPECT_EQ((*ranked)[j].table_index, (*want_ranked)[j].table_index);
+        EXPECT_EQ((*ranked)[j].key_column, (*want_ranked)[j].key_column);
+        EXPECT_EQ((*ranked)[j].value_column, (*want_ranked)[j].value_column);
+        EXPECT_EQ((*ranked)[j].containment, (*want_ranked)[j].containment);
+        EXPECT_EQ((*ranked)[j].abs_correlation,
+                  (*want_ranked)[j].abs_correlation);
+      }
+    }
+  }
+}
+
+TEST(DataLakeIndexTest, RandomLakesExerciseEveryKeyShape) {
+  // Guards the randomized test above against degenerating: across its
+  // seeds the lakes join through both columns of the two-key table, with
+  // 1:N keys, and the inputs hit absent and empty keys.
+  std::size_t two_key_joins = 0, partial = 0, nan_cells = 0;
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    Rng rng(seed);
+    const int entities = 20 + static_cast<int>(rng.UniformInt(40));
+    const DataLake lake = RandomLake(rng, entities);
+    std::vector<std::string> keys;
+    for (int e = 0; e < entities; ++e) keys.push_back(EntityForm(rng, e));
+    keys.push_back("");
+    for (const auto& jc : lake.JoinColumns(keys, 0.3)) {
+      two_key_joins += jc.table_index == 1;
+      partial += jc.containment < 1.0;
+      for (double v : jc.values) nan_cells += std::isnan(v);
+    }
+  }
+  EXPECT_GT(two_key_joins, 25u);
+  EXPECT_GT(partial, 0u);
+  EXPECT_GT(nan_cells, 0u);
 }
 
 // ------------------------------------------------------- TextCausalOracle

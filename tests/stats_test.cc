@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 
@@ -325,6 +326,48 @@ TEST(DescriptiveTest, SpearmanRobustToMonotoneTransform) {
   }
   EXPECT_NEAR(SpearmanCorrelation(x, y), 1.0, 1e-9);
   EXPECT_LT(PearsonCorrelation(x, y), 0.95);
+}
+
+// SpearmanFromOrders reads average ranks off presorted orders filtered to
+// the pairwise-complete rows; it must reproduce SpearmanCorrelation's bits
+// with ties, signed zeros, infinities and NaNs on either side.
+TEST(DescriptiveTest, SpearmanFromOrdersMatchesSpearmanBitForBit) {
+  const double kNaN = std::nan("");
+  auto draw = [](Rng& rng, bool ties) {
+    if (rng.Bernoulli(0.03)) return rng.Bernoulli(0.5) ? 0.0 : -0.0;
+    if (rng.Bernoulli(0.01)) return std::copysign(INFINITY, rng.Normal());
+    return ties ? static_cast<double>(rng.UniformInt(-3, 3)) : rng.Normal();
+  };
+  auto bits = [](double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  Rng rng(2024);
+  std::size_t finite = 0;
+  for (std::size_t n : {0, 1, 2, 3, 5, 17, 100, 500}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const bool x_ties = trial % 2 == 0, y_ties = trial % 3 == 0;
+      const double x_nan = trial % 4 == 1 ? 0.3 : 0.0;
+      const double y_nan = trial % 5 == 2 ? 0.3 : 0.0;
+      std::vector<double> x(n), y(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] = rng.Bernoulli(x_nan) ? kNaN : draw(rng, x_ties);
+        y[i] = rng.Bernoulli(y_nan) ? kNaN : draw(rng, y_ties);
+      }
+      const double want = SpearmanCorrelation(x, y);
+      const double got = SpearmanFromOrders(x, RankOrder(x), y, RankOrder(y));
+      EXPECT_EQ(std::isnan(want), std::isnan(got)) << "n=" << n;
+      if (!std::isnan(want)) {
+        EXPECT_EQ(bits(want), bits(got)) << want << " vs " << got;
+        ++finite;
+      }
+    }
+  }
+  EXPECT_GT(finite, 150u);
+  // Mismatched lengths are NaN, as for SpearmanCorrelation.
+  const std::vector<double> a = {1, 2, 3}, b = {1, 2};
+  EXPECT_TRUE(std::isnan(SpearmanFromOrders(a, RankOrder(a), b, RankOrder(b))));
 }
 
 TEST(DescriptiveTest, StandardizeProperties) {
