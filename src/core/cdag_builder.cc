@@ -9,7 +9,6 @@
 
 #include "common/span.h"
 #include "common/thread_pool.h"
-#include "discovery/cached_ci.h"
 #include "discovery/ci_test.h"
 #include "discovery/subsets.h"
 #include "stats/correlation.h"
@@ -196,13 +195,13 @@ Result<CdagBuildResult> CdagBuilder::Build(
         "FisherZTest needs at least 5 complete rows, got " +
         std::to_string(rep_complete));
   }
-  // The cached engine computes the correlation matrix once (from the shared
-  // sufficient statistics) and memoizes every (x, y, S) query — pruning,
-  // augmentation and cycle repair all revisit the same pairs.
+  // The correlation matrix is computed once (from the shared sufficient
+  // statistics); each (x, y, S) query is then one allocation-free packed
+  // factor of it, with no lock or memo shared between the pruning threads.
   CDI_ASSIGN_OR_RETURN(stats::SufficientStats rep_stats,
                        stats::SufficientStats::Compute(rep_ds, pool.get()));
   CDI_ASSIGN_OR_RETURN(auto ci_test,
-                       discovery::CachedCiTest::ForGaussian(rep_stats));
+                       discovery::FisherZTest::Create(rep_stats));
   const std::size_t k = clusters.size();
 
   // ---- 5. Edge inference. ----------------------------------------------------
@@ -338,11 +337,10 @@ Result<CdagBuildResult> CdagBuilder::Build(
           } else if (pref < 0) {
             victim = {u, v};
           } else {
-            // Oracle shrugs: drop the direction with weaker data support.
-            victim = ci_test->Strength(u, v, {}) >=
-                             ci_test->Strength(v, u, {})
-                         ? graph::Edge{v, u}
-                         : graph::Edge{u, v};
+            // Oracle shrugs: keep u -> v (TwoCycles reports u < v). The
+            // data cannot break the tie, since a marginal correlation is
+            // symmetric in (u, v).
+            victim = {v, u};
           }
           claim_graph.RemoveEdge(victim.first, victim.second);
           result.cycle_repaired_edges.push_back(

@@ -94,8 +94,8 @@ std::uint64_t PipelineOptionsFingerprint(const PipelineOptions& options) {
       .Mix(d.lingam.prune_alpha)
       .Mix(d.lingam.min_abs_coefficient);
   // Excluded on purpose: options.num_threads, b.num_threads,
-  // d.num_threads, d.ges.num_threads (bitwise-deterministic parallelism)
-  // and d.use_ci_cache (pure memoization). See the header comment.
+  // d.num_threads and d.ges.num_threads (bitwise-deterministic
+  // parallelism). See the header comment.
 
   return h.Digest();
 }

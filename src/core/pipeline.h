@@ -29,10 +29,9 @@ struct PipelineOptions {
 
 /// Canonical 64-bit fingerprint of every *semantic* pipeline option — the
 /// fields that can change what Run computes. Execution-strategy fields
-/// (`num_threads` at every level, `discovery.use_ci_cache`) are excluded:
-/// all parallel stages and the CI cache are bitwise-deterministic, so two
-/// configurations differing only there produce identical results and must
-/// share a result-cache entry. Stable across runs and platforms (explicit
+/// (`num_threads` at every level) are excluded: all parallel stages are
+/// bitwise-deterministic, so two configurations differing only there
+/// produce identical results and must share a result-cache entry. Stable across runs and platforms (explicit
 /// FNV-1a over bit patterns, not std::hash).
 std::uint64_t PipelineOptionsFingerprint(const PipelineOptions& options);
 

@@ -1,7 +1,6 @@
 #include "discovery/discovery.h"
 
 #include "common/thread_pool.h"
-#include "discovery/cached_ci.h"
 #include "discovery/ci_test.h"
 #include "discovery/fci.h"
 #include "discovery/pc.h"
@@ -10,11 +9,10 @@ namespace cdi::discovery {
 
 namespace {
 
-/// Gaussian CI test for the constraint-based baselines, optionally behind
-/// the memoizing cache. The sufficient-statistics pass runs on a transient
-/// pool sized by options.num_threads (deterministic: same bits at any
-/// thread count).
-Result<std::unique_ptr<CiTest>> MakeGaussianTest(
+/// Gaussian CI test for the constraint-based baselines. The
+/// sufficient-statistics pass runs on a transient pool sized by
+/// options.num_threads (deterministic: same bits at any thread count).
+Result<std::unique_ptr<FisherZTest>> MakeGaussianTest(
     const std::vector<DoubleSpan>& data,
     const DiscoveryOptions& options) {
   stats::NumericDataset ds;
@@ -23,13 +21,7 @@ Result<std::unique_ptr<CiTest>> MakeGaussianTest(
   if (options.num_threads > 1) {
     pool = std::make_unique<ThreadPool>(options.num_threads);
   }
-  if (options.use_ci_cache) {
-    CDI_ASSIGN_OR_RETURN(auto cached,
-                         CachedCiTest::ForGaussian(ds, pool.get()));
-    return std::unique_ptr<CiTest>(std::move(cached));
-  }
-  CDI_ASSIGN_OR_RETURN(auto fisher, FisherZTest::Create(ds, pool.get()));
-  return std::unique_ptr<CiTest>(std::move(fisher));
+  return FisherZTest::Create(ds, pool.get());
 }
 
 }  // namespace

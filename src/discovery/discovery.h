@@ -26,8 +26,6 @@ struct DiscoveryOptions {
   /// Worker threads for the parallel phases (PC/FCI skeleton edge tests,
   /// GES candidate scoring). Results are bitwise-identical at any count.
   int num_threads = 1;
-  /// Memoize CI queries behind a CachedCiTest (PC / FCI).
-  bool use_ci_cache = true;
   /// Warm start from a previous run's graph over the same variables:
   /// PC seeds its skeleton with these edges (treated as undirected — the
   /// CI sweep only prunes from there), GES installs them as its initial

@@ -75,6 +75,12 @@ std::size_t CompleteRowCount(const NumericDataset& data);
 /// factorization of the submatrix over (given..., i, j) + 1e-10·I, built
 /// in thread-local buffers (allocation-free after warm-up; safe to call
 /// from several threads at once).
+///
+/// The result is a pure function of its arguments *in the order given*.
+/// For |given| >= 2 the factor runs in argument order, so swapping i and
+/// j, or permuting `given`, can change the low bits. Callers that need
+/// bit-identical answers must pass the same order; no memo or shortcut
+/// may treat (i, j, given) as an unordered key.
 Result<double> PartialCorrelation(const Matrix& corr, std::size_t i,
                                   std::size_t j,
                                   const std::vector<std::size_t>& given);

@@ -155,18 +155,6 @@ std::vector<CheckFailure> CheckDiscoveryInvariances(
     }
   }
 
-  // ---- cached vs uncached CI: bitwise-identical claim list. ---------------
-  {
-    discovery::DiscoveryOptions d = options.discovery;
-    d.use_ci_cache = !d.use_ci_cache;
-    auto variant = run(columns, names, d);
-    if (!variant.ok() || variant->claims != base->claims ||
-        variant->definite != base->definite) {
-      failures.push_back({"differential-ci-cache",
-                          "cached and uncached CI runs disagree"});
-    }
-  }
-
   // ---- 1 vs N threads: bitwise-identical claim list. ----------------------
   {
     discovery::DiscoveryOptions d = options.discovery;

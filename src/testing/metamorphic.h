@@ -13,7 +13,7 @@ namespace cdi::testing {
 /// Knobs for the discovery-layer metamorphic relations.
 struct MetamorphicOptions {
   discovery::Algorithm algorithm = discovery::Algorithm::kPc;
-  /// Base discovery configuration (threads = 1, cache on).
+  /// Base discovery configuration (threads = 1).
   discovery::DiscoveryOptions discovery;
   /// Thread count of the parallel run compared against the serial one.
   int alt_threads = 8;
@@ -25,7 +25,6 @@ struct MetamorphicOptions {
 
   MetamorphicOptions() {
     discovery.num_threads = 1;
-    discovery.use_ci_cache = true;
     discovery.max_cond_size = 2;
   }
 };
@@ -42,8 +41,6 @@ struct MetamorphicOptions {
 ///    summation order, far below any decision threshold);
 ///  * affine-rescaling invariance — x -> a*x + b (a > 0) per column leaves
 ///    the discovered structure unchanged (correlation is scale-free);
-///  * cached-vs-uncached identity — disabling the CI cache yields a
-///    bitwise-identical claim list;
 ///  * thread-count identity — 1-thread and alt_threads runs yield bitwise
 ///    identical claim lists (the engine's determinism guarantee);
 ///  * rerun identity — running twice on the same data is bitwise stable.

@@ -7,7 +7,6 @@
 #include "datagen/covid.h"
 #include "datagen/flights.h"
 #include "datagen/scenario.h"
-#include "discovery/cached_ci.h"
 #include "discovery/ci_test.h"
 #include "discovery/discovery.h"
 #include "discovery/fci.h"
@@ -115,6 +114,26 @@ TEST(FisherZTest, TooFewRowsFails) {
   stats::NumericDataset ds;
   ds.columns = {{1, 2}, {2, 3}};
   EXPECT_FALSE(FisherZTest::Create(ds).ok());
+}
+
+TEST(FisherZTest, ExactlyCollinearPairIsDependent) {
+  // Regression test: y = -3x exactly. Before the Fisher-z clamp fix,
+  // atanh(±1) returned NaN/inf and the pair could test independent.
+  Rng rng(31);
+  const std::size_t n = 600;
+  std::vector<double> x(n), y(n), w(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = rng.Normal();
+    y[i] = -3.0 * x[i];
+    w[i] = rng.Normal();
+  }
+  stats::NumericDataset ds;
+  ds.columns = {x, y, w};
+  auto test = FisherZTest::Create(ds);
+  ASSERT_TRUE(test.ok());
+  EXPECT_LT((*test)->PValue(0, 1, {}), 1e-12);
+  EXPECT_LT((*test)->PValue(0, 1, {2}), 1e-12);
+  EXPECT_FALSE((*test)->Independent(0, 1, {}, 0.05));
 }
 
 TEST(DSeparationOracleTest, MatchesGraph) {
@@ -536,76 +555,6 @@ TEST(RunDiscoveryTest, AllAlgorithmsProduceClaims) {
   }
 }
 
-// --------------------------------------------------------- CachedCiTest
-
-TEST(CachedCiTest, MatchesWrappedTestExactly) {
-  const auto ds = TriangleData(2000, 5);
-  auto plain = FisherZTest::Create(ds);
-  ASSERT_TRUE(plain.ok());
-  auto cached = CachedCiTest::ForGaussian(ds);
-  ASSERT_TRUE(cached.ok());
-  const std::vector<std::vector<std::size_t>> conds = {{}, {1}, {2}, {1, 2}};
-  for (std::size_t x = 0; x < 3; ++x) {
-    for (std::size_t y = 0; y < 3; ++y) {
-      if (x == y) continue;
-      for (const auto& s : conds) {
-        bool skip = false;
-        for (auto v : s) skip = skip || v == x || v == y;
-        if (skip) continue;
-        EXPECT_EQ((*cached)->PValue(x, y, s), (*plain)->PValue(x, y, s));
-        EXPECT_EQ((*cached)->Strength(x, y, s), (*plain)->Strength(x, y, s));
-      }
-    }
-  }
-}
-
-TEST(CachedCiTest, CanonicalizationMakesSymmetricQueriesHit) {
-  auto cached = CachedCiTest::ForGaussian(TriangleData(1000, 7));
-  ASSERT_TRUE(cached.ok());
-  const double p1 = (*cached)->PValue(0, 2, {1});
-  EXPECT_EQ((*cached)->cache_misses(), 1u);
-  // Swapped pair, same set: must be a hit with the identical value.
-  const double p2 = (*cached)->PValue(2, 0, {1});
-  EXPECT_EQ(p1, p2);
-  EXPECT_EQ((*cached)->cache_misses(), 1u);
-  EXPECT_EQ((*cached)->cache_hits(), 1u);
-  // Repeat query: another hit.
-  (*cached)->PValue(0, 2, {1});
-  EXPECT_EQ((*cached)->cache_hits(), 2u);
-  // `calls` counts queries, like the serial uncached accounting.
-  EXPECT_EQ((*cached)->calls.load(), 3u);
-}
-
-TEST(CachedCiTest, StrengthAndPValueShareKeySlot) {
-  auto cached = CachedCiTest::ForGaussian(TriangleData(1000, 9));
-  ASSERT_TRUE(cached.ok());
-  (*cached)->PValue(0, 1, {});
-  (*cached)->Strength(0, 1, {});  // same key, different field: a miss
-  EXPECT_EQ((*cached)->cache_misses(), 2u);
-  (*cached)->Strength(1, 0, {});  // now cached
-  EXPECT_EQ((*cached)->cache_hits(), 1u);
-}
-
-TEST(CachedCiTest, ExactlyCollinearPairIsDependent) {
-  // Regression test: y = -3x exactly. Before the Fisher-z clamp fix,
-  // atanh(±1) returned NaN/inf and the pair could test independent.
-  Rng rng(31);
-  const std::size_t n = 600;
-  std::vector<double> x(n), y(n), w(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = rng.Normal();
-    y[i] = -3.0 * x[i];
-    w[i] = rng.Normal();
-  }
-  stats::NumericDataset ds;
-  ds.columns = {x, y, w};
-  auto cached = CachedCiTest::ForGaussian(ds);
-  ASSERT_TRUE(cached.ok());
-  EXPECT_LT((*cached)->PValue(0, 1, {}), 1e-12);
-  EXPECT_LT((*cached)->PValue(0, 1, {2}), 1e-12);
-  EXPECT_FALSE((*cached)->Independent(0, 1, {}, 0.05));
-}
-
 // ------------------------------------------------- thread determinism
 
 /// Linear-Gaussian chain data wide enough that the skeleton does real
@@ -636,8 +585,8 @@ TEST(ThreadDeterminismTest, PcIdenticalAtAnyThreadCount) {
   serial.num_threads = 1;
   PcOptions parallel = serial;
   parallel.num_threads = 8;
-  auto t1 = CachedCiTest::ForGaussian(ds);
-  auto t8 = CachedCiTest::ForGaussian(ds);
+  auto t1 = FisherZTest::Create(ds);
+  auto t8 = FisherZTest::Create(ds);
   ASSERT_TRUE(t1.ok());
   ASSERT_TRUE(t8.ok());
   auto r1 = RunPc(**t1, names, serial);
@@ -662,8 +611,8 @@ TEST(ThreadDeterminismTest, FciIdenticalAtAnyThreadCount) {
   serial.num_threads = 1;
   FciOptions parallel = serial;
   parallel.num_threads = 8;
-  auto t1 = CachedCiTest::ForGaussian(ds);
-  auto t8 = CachedCiTest::ForGaussian(ds);
+  auto t1 = FisherZTest::Create(ds);
+  auto t8 = FisherZTest::Create(ds);
   ASSERT_TRUE(t1.ok());
   ASSERT_TRUE(t8.ok());
   auto r1 = RunFci(**t1, names, serial);
@@ -694,21 +643,19 @@ TEST(ThreadDeterminismTest, GesIdenticalAtAnyThreadCount) {
   EXPECT_EQ(r1->backward_steps, r8->backward_steps);
 }
 
-TEST(ThreadDeterminismTest, RunDiscoveryCacheDoesNotChangeResults) {
+TEST(ThreadDeterminismTest, RunDiscoveryIdenticalAtAnyThreadCount) {
   const auto cols = WideChainData(7, 700, 59);
   std::vector<std::string> names;
   for (std::size_t v = 0; v < cols.size(); ++v) {
     names.push_back("v" + std::to_string(v));
   }
   for (auto alg : {Algorithm::kPc, Algorithm::kFci}) {
-    DiscoveryOptions with_cache;
-    with_cache.use_ci_cache = true;
-    with_cache.num_threads = 4;
-    DiscoveryOptions without_cache = with_cache;
-    without_cache.use_ci_cache = false;
-    without_cache.num_threads = 1;
-    auto a = RunDiscovery(cdi::SpansOf(cols), names, alg, with_cache);
-    auto b = RunDiscovery(cdi::SpansOf(cols), names, alg, without_cache);
+    DiscoveryOptions serial;
+    serial.num_threads = 1;
+    DiscoveryOptions parallel = serial;
+    parallel.num_threads = 4;
+    auto a = RunDiscovery(cdi::SpansOf(cols), names, alg, serial);
+    auto b = RunDiscovery(cdi::SpansOf(cols), names, alg, parallel);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a->claims, b->claims);

@@ -350,8 +350,7 @@ TEST(QueryCacheKeyTest, OptionsFingerprintIgnoresExecutionStrategy) {
   b.num_threads = 8;
   b.builder.num_threads = 8;
   b.builder.discovery.num_threads = 8;
-  b.builder.discovery.use_ci_cache = !a.builder.discovery.use_ci_cache;
-  // Thread counts and the CI cache cannot change results (everything is
+  // Thread counts cannot change results (every parallel stage is
   // bitwise-deterministic), so they must share a result-cache entry.
   EXPECT_EQ(core::PipelineOptionsFingerprint(a),
             core::PipelineOptionsFingerprint(b));

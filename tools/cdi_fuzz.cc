@@ -12,8 +12,8 @@
 // -> SCM -> input table + knowledge sources), runs the full CATER
 // pipeline, and verifies oracle checks (adjustment-set d-separation,
 // near-zero direct effect, edge P/R/F1 floors) plus metamorphic and
-// differential relations (permutation/affine invariance, cached-vs-
-// uncached and 1-vs-N-thread bitwise identity, seed stability).
+// differential relations (permutation/affine invariance, 1-vs-N-thread
+// bitwise identity, seed stability).
 //
 // On failure it prints a minimized single-seed reproducer command line and
 // exits 1. --inject-bug plants an intentional discovery bug to prove the

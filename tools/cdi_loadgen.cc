@@ -240,6 +240,27 @@ std::string ServedLine(const cdi::serve::QueryResponse& response,
              : cdi::serve::FormatResultPayload(*response.result());
 }
 
+/// Submits `query`, replaying it while the server sheds it with
+/// kResourceExhausted (a tiny --queue-depth can overflow even with
+/// closed-loop clients): up to kMaxAttempts submissions, 10 ms apart so a
+/// worker can drain the queue. Each replay counts in `retried`; a response
+/// still shed after the last attempt is returned as is.
+constexpr int kMaxAttempts = 200;
+cdi::serve::QueryResponse ExecuteRetryingShed(
+    cdi::serve::QueryServer& server, const cdi::serve::CdiQuery& query,
+    std::atomic<std::uint64_t>* retried) {
+  auto response = server.Execute(query);
+  for (int attempt = 1;
+       attempt < kMaxAttempts &&
+       response.status.code() == cdi::StatusCode::kResourceExhausted;
+       ++attempt) {
+    retried->fetch_add(1, std::memory_order_relaxed);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    response = server.Execute(query);
+  }
+  return response;
+}
+
 /// A summarize-mode mix entry: budget k against `scenario`, formats
 /// alternating so both renderings ride the wire.
 cdi::serve::CdiQuery SummarizeEntry(const std::string& scenario,
@@ -370,42 +391,33 @@ int RunGridMode(const Args& args) {
       cdi::Rng rng(args.seed + 0xA11CE5 + static_cast<std::uint64_t>(c));
       for (int r = 0; r < args.requests; ++r) {
         const std::size_t pick = rng.Categorical(weights);
-        bool done = false;
-        // Bounded replay loop: queue-full shed and eviction recovery both
-        // retry the same request; anything else resolves it.
-        for (int attempt = 0; attempt < 200 && !done; ++attempt) {
-          const auto response = server.Execute(mix[pick]);
-          if (response.status.code() ==
-              cdi::StatusCode::kResourceExhausted) {
-            retried.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          if (response.status.code() == cdi::StatusCode::kNotFound) {
-            // Evicted by the memory budget: re-register the deterministic
-            // rebuild and replay. Concurrent recoveries of the same name
-            // coalesce under the server's single-flight registration.
-            auto again = server.RegisterScenario(
-                names[pick], builder_for(names[pick]), /*replace=*/true);
-            if (!again.ok()) {
-              errors.fetch_add(1, std::memory_order_relaxed);
-              done = true;
-              break;
-            }
-            reregistered.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          if (args.verify) {
-            // A served error that byte-matches the direct run's error is a
-            // verified answer; any payload/error mismatch is torn.
-            if (ServedLine(response) != expected[pick]) {
-              torn.fetch_add(1, std::memory_order_relaxed);
-            }
-          } else if (!response.status.ok()) {
-            errors.fetch_add(1, std::memory_order_relaxed);
-          }
-          done = true;
+        auto response = ExecuteRetryingShed(server, mix[pick], &retried);
+        // Evicted by the memory budget: re-register the deterministic
+        // rebuild and replay. Concurrent recoveries of the same name
+        // coalesce under the server's single-flight registration.
+        for (int attempt = 1;
+             attempt < kMaxAttempts &&
+             response.status.code() == cdi::StatusCode::kNotFound;
+             ++attempt) {
+          auto again = server.RegisterScenario(
+              names[pick], builder_for(names[pick]), /*replace=*/true);
+          if (!again.ok()) break;
+          reregistered.fetch_add(1, std::memory_order_relaxed);
+          response = ExecuteRetryingShed(server, mix[pick], &retried);
         }
-        if (!done) errors.fetch_add(1, std::memory_order_relaxed);
+        const cdi::StatusCode code = response.status.code();
+        if (code == cdi::StatusCode::kResourceExhausted ||
+            code == cdi::StatusCode::kNotFound) {
+          errors.fetch_add(1, std::memory_order_relaxed);
+        } else if (args.verify) {
+          // A served error that byte-matches the direct run's error is a
+          // verified answer; any payload/error mismatch is torn.
+          if (ServedLine(response) != expected[pick]) {
+            torn.fetch_add(1, std::memory_order_relaxed);
+          }
+        } else if (!response.status.ok()) {
+          errors.fetch_add(1, std::memory_order_relaxed);
+        }
         completed.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -781,19 +793,7 @@ int main(int argc, char** argv) {
           }
         }
         const std::size_t pick = rng.UniformInt(mix.size());
-        // Closed-loop clients normally cannot overflow the queue, but a
-        // tiny --queue-depth can shed load: replay a shed request up to
-        // 200 times, 10 ms apart so a worker can drain the queue, then
-        // count it as an error.
-        auto response = server.Execute(mix[pick]);
-        for (int attempt = 1; attempt < 200 &&
-                              response.status.code() ==
-                                  cdi::StatusCode::kResourceExhausted;
-             ++attempt) {
-          retried.fetch_add(1, std::memory_order_relaxed);
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-          response = server.Execute(mix[pick]);
-        }
+        const auto response = ExecuteRetryingShed(server, mix[pick], &retried);
         if (!response.status.ok()) {
           // Expected planner/summarizer rejections verify like any other
           // response.
