@@ -833,40 +833,6 @@ void BM_UpdateScenarioFullReingest(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateScenarioFullReingest);
 
-/// Warm vs cold PC on the same 20-variable Gaussian chain: Arg(1) seeds
-/// the skeleton with the previous run's edges (the epoch-rollover
-/// pattern), Arg(0) starts from the complete graph. The warm run prunes
-/// from a linear-size candidate set instead of a quadratic one.
-void BM_WarmStartDiscovery(benchmark::State& state) {
-  const bool warm = state.range(0) != 0;
-  const std::size_t p = 20;
-  auto ds = cdi::stats::NumericDataset::Own(ChainData(p, 1500, 11));
-  std::vector<std::string> names;
-  for (std::size_t v = 0; v < p; ++v) {
-    names.push_back("v" + std::to_string(v));
-  }
-  auto test = cdi::discovery::FisherZTest::Create(ds);
-  CDI_CHECK(test.ok());
-  cdi::discovery::PcOptions options;
-  if (warm) {
-    auto prev = cdi::discovery::RunPc(**test, names);
-    CDI_CHECK(prev.ok());
-    options.warm_start = true;
-    for (const auto& e : prev->graph.DirectedEdges()) {
-      options.warm_edges.push_back(e);
-    }
-    for (const auto& e : prev->graph.UndirectedEdges()) {
-      options.warm_edges.push_back(e);
-    }
-  }
-  for (auto _ : state) {
-    auto result = cdi::discovery::RunPc(**test, names, options);
-    CDI_CHECK(result.ok());
-    benchmark::DoNotOptimize(result->ci_tests);
-  }
-}
-BENCHMARK(BM_WarmStartDiscovery)->Arg(0)->Arg(1);
-
 // ------------------------------------------------------ Sharded registry
 
 /// One built scenario shared across registry benches: registration cost

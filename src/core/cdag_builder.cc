@@ -387,24 +387,6 @@ Result<CdagBuildResult> CdagBuilder::Build(
       discovery::DiscoveryOptions dopt = options_.discovery;
       dopt.alpha = options_.alpha;
       dopt.num_threads = options_.num_threads;
-      if (!options_.warm_start_edges.empty()) {
-        // Map the previous epoch's topic-name edges onto this run's
-        // cluster indices. Clustering is re-run per epoch, so a topic may
-        // have split or vanished; unmatched names drop out of the seed.
-        std::map<std::string, std::size_t> topic_index;
-        for (std::size_t c = 0; c < topics.size(); ++c) {
-          topic_index.emplace(topics[c], c);
-        }
-        dopt.warm_start = true;
-        for (const auto& [from, to] : options_.warm_start_edges) {
-          const auto fi = topic_index.find(from);
-          const auto ti = topic_index.find(to);
-          if (fi != topic_index.end() && ti != topic_index.end() &&
-              fi->second != ti->second) {
-            dopt.warm_edges.emplace_back(fi->second, ti->second);
-          }
-        }
-      }
       CDI_ASSIGN_OR_RETURN(discovery::DiscoverySummary summary,
                            discovery::RunDiscovery(cdi::SpansOf(reps), topics,
                                                    alg, dopt));
@@ -416,16 +398,9 @@ Result<CdagBuildResult> CdagBuilder::Build(
         result.definite.push_back(edge_name(u, v));
         CDI_RETURN_IF_ERROR(claim_graph.AddEdge(u, v));
       }
-      for (const auto& [u, v] : summary.warm_seed) {
-        result.warm_seed.push_back(edge_name(u, v));
-      }
       break;
     }
   }
-
-  // Modes whose algorithm has no dedicated warm-seed shape (hybrid,
-  // oracle-only) seed the next epoch with the C-DAG's definite edges.
-  if (result.warm_seed.empty()) result.warm_seed = result.definite;
 
   // ---- 6. Assemble the ClusterDag (definite edges only). ---------------------
   std::map<std::string, std::vector<std::string>> members_by_topic;

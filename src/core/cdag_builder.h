@@ -62,13 +62,6 @@ struct CdagBuilderOptions {
   /// any thread count.
   int num_threads = 1;
   discovery::DiscoveryOptions discovery;
-  /// Warm-start seed for the data-driven discovery stage: edges of a
-  /// previous epoch's C-DAG in cluster *topic-name* space. Mapped to the
-  /// current run's cluster indices by topic name before discovery;
-  /// names that no longer resolve to a cluster are dropped. Consulted by
-  /// kDataPc (skeleton seed) and kDataGes (initial DAG); the other modes
-  /// ignore it. Empty = cold start.
-  std::vector<std::pair<std::string, std::string>> warm_start_edges;
 };
 
 struct CdagBuildResult {
@@ -81,14 +74,6 @@ struct CdagBuildResult {
   std::vector<std::pair<std::string, std::string>> claims;
   /// Definitely directed edges (used for mediator identification).
   std::vector<std::pair<std::string, std::string>> definite;
-  /// Edges to seed the *next* epoch's discovery with
-  /// (CdagBuilderOptions::warm_start_edges), in topic-name space. Shape
-  /// depends on the inference mode: kDataPc emits its full skeleton
-  /// adjacencies, kDataGes its learned search-state DAG (CPDAG claims
-  /// would force arbitrary orientations on the seeded run); other modes
-  /// fall back to `definite`. The serving layer stashes this on the new
-  /// bundle at every epoch rollover.
-  std::vector<std::pair<std::string, std::string>> warm_seed;
   /// Cluster name -> assigned topic.
   std::vector<std::string> cluster_topics;
   /// Edges removed by the pruning stage (hybrid mode).

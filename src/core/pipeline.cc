@@ -80,11 +80,6 @@ std::uint64_t PipelineOptionsFingerprint(const PipelineOptions& options) {
       .Mix(b.augment_from_data)
       .Mix(b.augment_alpha)
       .Mix(b.prune_requires_marginal_dependence);
-  // The warm-start seed is semantic: a seeded discovery run can converge
-  // to a different graph than a cold one, so plans/results built from
-  // different seeds must never share a cache key.
-  h.Mix(static_cast<std::uint64_t>(b.warm_start_edges.size()));
-  for (const auto& [from, to] : b.warm_start_edges) h.Mix(from).Mix(to);
 
   const discovery::DiscoveryOptions& d = b.discovery;
   h.Mix(d.alpha)

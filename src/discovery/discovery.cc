@@ -53,15 +53,9 @@ Result<DiscoverySummary> RunDiscovery(
       pc.alpha = options.alpha;
       pc.max_cond_size = options.max_cond_size;
       pc.num_threads = options.num_threads;
-      if (options.warm_start) {
-        pc.warm_start = true;
-        pc.warm_edges.assign(options.warm_edges.begin(),
-                             options.warm_edges.end());
-      }
       CDI_ASSIGN_OR_RETURN(PcResult r, RunPc(*test, names, pc));
       out.claims = r.graph.ToDirectedClaims();
       out.definite = r.graph.DirectedEdges();
-      out.warm_seed = out.claims;  // skeleton adjacencies, both directions
       out.ci_tests = r.ci_tests;
       return out;
     }
@@ -91,11 +85,9 @@ Result<DiscoverySummary> RunDiscovery(
     case Algorithm::kGes: {
       GesOptions ges = options.ges;
       ges.num_threads = options.num_threads;
-      if (options.warm_start) ges.seed_edges = options.warm_edges;
       CDI_ASSIGN_OR_RETURN(GesResult r, RunGes(data, names, ges));
       out.claims = r.cpdag.ToDirectedClaims();
       out.definite = r.cpdag.DirectedEdges();
-      out.warm_seed = r.dag.Edges();  // the search-state DAG, not the CPDAG
       return out;
     }
     case Algorithm::kLingam: {

@@ -26,15 +26,6 @@ struct DiscoveryOptions {
   /// Worker threads for the parallel phases (PC/FCI skeleton edge tests,
   /// GES candidate scoring). Results are bitwise-identical at any count.
   int num_threads = 1;
-  /// Warm start from a previous run's graph over the same variables:
-  /// PC seeds its skeleton with these edges (treated as undirected — the
-  /// CI sweep only prunes from there), GES installs them as its initial
-  /// DAG (the greedy search can still add or delete from the seed). FCI
-  /// and LiNGAM ignore the seed. Only consulted when `warm_start` is
-  /// true; an empty edge list with warm_start set means "start from the
-  /// empty graph" for PC, which is almost never what you want.
-  bool warm_start = false;
-  std::vector<graph::Edge> warm_edges;
   GesOptions ges;
   LingamOptions lingam;
 };
@@ -49,14 +40,6 @@ struct DiscoverySummary {
   /// Definitely directed edges only (no undirected/circle expansion);
   /// downstream mediator identification uses these.
   std::vector<graph::Edge> definite;
-  /// The edge set best suited to warm-start the next run of the same
-  /// algorithm on slightly-changed data (DiscoveryOptions::warm_edges).
-  /// PC: the full skeleton adjacencies (undirected edges both ways —
-  /// seeding with definite edges only would drop adjacencies the next
-  /// skeleton should keep). GES: the learned DAG itself (seeding with
-  /// CPDAG claims would force arbitrary orientations of undirected
-  /// edges and steer the search into a different local optimum).
-  std::vector<graph::Edge> warm_seed;
   std::size_t ci_tests = 0;
 };
 

@@ -122,17 +122,7 @@ Result<GesResult> RunGes(const std::vector<DoubleSpan>& data,
       options.max_parents < 0 ? p : static_cast<std::size_t>(
                                         options.max_parents);
 
-  // Warm start: install the seed DAG before scoring, skipping any edge
-  // that is illegal under the current constraints. Installation order is
-  // the caller's edge order, so the accepted subset is deterministic.
-  for (const auto& [u, v] : options.seed_edges) {
-    if (u >= p || v >= p || u == v || g.Adjacent(u, v)) continue;
-    if (g.Parents(v).size() >= max_parents) continue;
-    if (g.HasDirectedPath(v, u)) continue;
-    CDI_RETURN_IF_ERROR(g.AddEdge(u, v));
-  }
-
-  // Current local score per node (seeded parents included).
+  // Current local score per node.
   std::vector<double> local(p);
   for (std::size_t v = 0; v < p; ++v) {
     local[v] = score.Local(v, ParentsOf(g, v));

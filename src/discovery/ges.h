@@ -21,17 +21,6 @@ struct GesOptions {
   /// parallel, then picks the winner in the serial iteration order, so the
   /// search trajectory is bitwise-identical at any thread count.
   int num_threads = 1;
-  /// Warm start: directed edges (variable-index pairs, typically a
-  /// previous epoch's DAG over the same variables) installed as the
-  /// initial search state before the forward phase. Seed edges that would
-  /// be illegal now (cycle, max_parents, out-of-range index) are silently
-  /// skipped. The search stays complete in both directions from the seed:
-  /// the forward phase can still add any edge and the backward phase
-  /// deletes seeded edges the new data no longer supports — the seed only
-  /// moves the starting point close to the optimum, which is what makes a
-  /// post-delta re-run converge in a handful of steps instead of
-  /// rebuilding the graph edge by edge.
-  std::vector<graph::Edge> seed_edges;
 };
 
 struct GesResult {

@@ -73,26 +73,10 @@ Status PcSkeleton(const CiTest& test, const PcOptions& options,
   // runtime once the CI tests themselves are cached. Converted to the
   // API's set form at the end.
   std::vector<std::vector<std::size_t>> adj(p);
-  if (options.warm_start) {
-    // Seeded skeleton: only the warm edges are candidates; everything the
-    // previous run separated stays separated without a single CI test.
-    for (const auto& [a, b] : options.warm_edges) {
-      if (a >= p || b >= p || a == b) {
-        return Status::InvalidArgument("warm-start edge index out of range");
-      }
-      adj[a].push_back(b);
-      adj[b].push_back(a);
-    }
-    for (auto& nbrs : adj) {
-      std::sort(nbrs.begin(), nbrs.end());
-      nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-    }
-  } else {
-    for (std::size_t i = 0; i < p; ++i) {
-      adj[i].reserve(p - 1);
-      for (std::size_t j = 0; j < p; ++j) {
-        if (i != j) adj[i].push_back(j);
-      }
+  for (std::size_t i = 0; i < p; ++i) {
+    adj[i].reserve(p - 1);
+    for (std::size_t j = 0; j < p; ++j) {
+      if (i != j) adj[i].push_back(j);
     }
   }
 
@@ -213,10 +197,6 @@ Result<PcResult> RunPc(const CiTest& test,
         if (y == z || y == x || !g.Adjacent(y, z)) continue;
         if (g.Adjacent(x, y)) continue;
         const auto it = result.sepsets.find(Key(x, y));
-        // A pair separated by the warm seed (no sepset recorded this run)
-        // carries no orientation evidence — skip it instead of treating
-        // the unknown sepset as empty.
-        if (options.warm_start && it == result.sepsets.end()) continue;
         const bool z_in_sepset =
             it != result.sepsets.end() &&
             std::find(it->second.begin(), it->second.end(), z) !=

@@ -33,15 +33,6 @@ struct PcOptions {
   /// threads per call would dominate small problems). When null and
   /// `num_threads` > 1, a private pool is created for the call.
   ThreadPool* pool = nullptr;
-  /// Warm start: when true, the skeleton starts from `warm_edges`
-  /// (undirected variable-index pairs — typically the previous epoch's
-  /// graph over the same variables) instead of the complete graph, and the
-  /// CI sweep only *prunes* from there. Pairs absent from the seed are
-  /// treated as already separated; their separating sets are unknown, so
-  /// v-structure orientation skips them (conservative: fewer spurious
-  /// orientations, at the cost of not re-adding an edge the seed lacks).
-  bool warm_start = false;
-  std::vector<std::pair<std::size_t, std::size_t>> warm_edges;
 };
 
 /// Separating sets found during skeleton construction, keyed by the

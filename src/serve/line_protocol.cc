@@ -1,5 +1,6 @@
 #include "serve/line_protocol.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +27,19 @@ const char* ResponseSourceName(ResponseSource source) {
 }
 
 namespace {
+
+/// Strict unsigned decimal: every character must be a digit (strtoull
+/// alone would wrap "-1" and stop at the dot of "4.5") and the value must
+/// fit in 64 bits (strtoull saturates on overflow).
+bool ParseUnsigned(const std::string& value, unsigned long long* out) {
+  if (value.empty()) return false;
+  for (char c : value) {
+    if (c < '0' || c > '9') return false;
+  }
+  errno = 0;
+  *out = std::strtoull(value.c_str(), nullptr, 10);
+  return errno != ERANGE;
+}
 
 void MixEffect(Fnv1a& h, const core::EffectEstimate& e) {
   h.Mix(e.effect).Mix(e.abs_effect).Mix(e.std_error).Mix(e.p_value);
@@ -367,16 +381,19 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
                  arg.rfind("seed=", 0) == 0) {
         const bool is_seed = arg[0] == 's';
         const std::string value = arg.substr(is_seed ? 5 : 9);
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0' || value.empty()) {
-          return Status::InvalidArgument("bad " +
-                                         std::string(is_seed ? "seed"
-                                                             : "entities") +
-                                         " value '" + value + "'");
+        unsigned long long v = 0;
+        if (!ParseUnsigned(value, &v)) {
+          return Status::InvalidArgument(
+              "bad " + std::string(is_seed ? "seed" : "entities") +
+              " value '" + value +
+              "' (expected a non-negative integer below 2^64)");
         }
         if (is_seed) {
           cmd.generate_seed = v;
+        } else if (v > kMaxGenerateEntities) {
+          return Status::InvalidArgument(
+              "entities=" + value + " exceeds the ceiling of " +
+              std::to_string(kMaxGenerateEntities));
         } else {
           cmd.generate_entities = static_cast<std::size_t>(v);
         }
@@ -390,7 +407,8 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
     if (cmd.target.empty() || cmd.grid_cell.empty()) {
       return Status::InvalidArgument(
           "usage: generate <name> grid=<cell> [entities=<n>] [seed=<s>] "
-          "[replace]");
+          "[replace] (entities at most " +
+          std::to_string(kMaxGenerateEntities) + ")");
     }
     return cmd;
   }
@@ -403,20 +421,11 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
     while (in >> arg) {
       if (arg.rfind("k=", 0) == 0) {
         const std::string value = arg.substr(2);
-        // Strict non-negative integer: strtoull would silently accept
-        // "-3" (wrapping) and "4.5" would need the end-pointer check, so
-        // require every character to be a digit up front.
-        bool digits = !value.empty();
-        for (char c : value) digits = digits && c >= '0' && c <= '9';
-        if (!digits) {
+        unsigned long long v = 0;
+        if (!ParseUnsigned(value, &v)) {
           return Status::InvalidArgument(
               "bad k value '" + value +
               "' (expected a non-negative integer)");
-        }
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0') {
-          return Status::InvalidArgument("bad k value '" + value + "'");
         }
         if (v < 2) {
           return Status::InvalidArgument(

@@ -116,6 +116,11 @@ struct ServerCommand {
   std::uint64_t generate_seed = 9001;
 };
 
+/// Largest `entities=` a `generate` line may ask for: a grid scenario
+/// materializes every entity's rows in process, so an unbounded count is
+/// an allocation request a client can make the server die on.
+inline constexpr std::size_t kMaxGenerateEntities = 100000;
+
 /// Parses one protocol line:
 ///   `query <scenario> <exposure> <outcome> [timeout=<seconds>]
 ///    [mode=planned|full]`
@@ -132,9 +137,10 @@ struct ServerCommand {
 /// plain non-negative integer >= 2 (non-integer, negative, and
 /// malformed values are rejected at parse; k above the C-DAG's node
 /// count is rejected at execution with an error naming the DAG size),
-/// and `format` must be `dot` or `json`. Blank lines and `#` comments
-/// return kInvalidArgument with an empty message (callers skip those
-/// silently).
+/// and `format` must be `dot` or `json`. `entities` and `seed` must be
+/// plain non-negative integers that fit in 64 bits, and `entities` at
+/// most kMaxGenerateEntities. Blank lines and `#` comments return
+/// kInvalidArgument with an empty message (callers skip those silently).
 Result<ServerCommand> ParseCommandLine(const std::string& line);
 
 }  // namespace cdi::serve

@@ -20,7 +20,6 @@ MetricsSnapshot MetricsSnapshot::Since(const MetricsSnapshot& earlier) const {
   out.evicted_stale = evicted_stale - earlier.evicted_stale;
   out.epoch_rollovers = epoch_rollovers - earlier.epoch_rollovers;
   out.rows_appended = rows_appended - earlier.rows_appended;
-  out.warm_start_hits = warm_start_hits - earlier.warm_start_hits;
   out.scenarios_registered = scenarios_registered - earlier.scenarios_registered;
   out.scenarios_evicted = scenarios_evicted - earlier.scenarios_evicted;
   out.scenarios_unregistered =
@@ -46,7 +45,7 @@ std::string MetricsSnapshot::ToLine() const {
       "deadline_exceeded=%llu cancelled=%llu cache_hits=%llu coalesced=%llu "
       "executions=%llu plan_builds=%llu summary_builds=%llu "
       "evicted_stale=%llu "
-      "epoch_rollovers=%llu rows_appended=%llu warm_start_hits=%llu "
+      "epoch_rollovers=%llu rows_appended=%llu "
       "scenarios_registered=%llu scenarios_evicted=%llu "
       "scenarios_unregistered=%llu registry_bytes=%llu "
       "registry_scenarios=%llu "
@@ -69,7 +68,6 @@ std::string MetricsSnapshot::ToLine() const {
       static_cast<unsigned long long>(evicted_stale),
       static_cast<unsigned long long>(epoch_rollovers),
       static_cast<unsigned long long>(rows_appended),
-      static_cast<unsigned long long>(warm_start_hits),
       static_cast<unsigned long long>(scenarios_registered),
       static_cast<unsigned long long>(scenarios_evicted),
       static_cast<unsigned long long>(scenarios_unregistered),
@@ -142,7 +140,6 @@ MetricsSnapshot ServerMetrics::Snapshot() const {
   snap.evicted_stale = evicted_stale.load(std::memory_order_relaxed);
   snap.epoch_rollovers = epoch_rollovers.load(std::memory_order_relaxed);
   snap.rows_appended = rows_appended.load(std::memory_order_relaxed);
-  snap.warm_start_hits = warm_start_hits.load(std::memory_order_relaxed);
   snap.queue_depth_high_water =
       queue_depth_high_water.load(std::memory_order_relaxed);
   snap.latency = latency.Snapshot();

@@ -51,9 +51,6 @@ struct MetricsSnapshot {
   std::uint64_t epoch_rollovers = 0;
   /// Total rows appended across all successful UpdateScenario calls.
   std::uint64_t rows_appended = 0;
-  /// Plan builds seeded from a previous epoch's C-DAG edges (warm-start
-  /// discovery; only when QueryServerOptions::warm_start_plans is on).
-  std::uint64_t warm_start_hits = 0;
   /// Scenario registrations published (Register / Replace / re-register
   /// after eviction; counter, sourced from the registry by
   /// QueryServer::Metrics — zero on a bare ServerMetrics::Snapshot).
@@ -131,7 +128,6 @@ class ServerMetrics {
   std::atomic<std::uint64_t> evicted_stale{0};
   std::atomic<std::uint64_t> epoch_rollovers{0};
   std::atomic<std::uint64_t> rows_appended{0};
-  std::atomic<std::uint64_t> warm_start_hits{0};
   std::atomic<std::uint64_t> queue_depth_high_water{0};
   LatencyHistogram latency;
   LatencyHistogram update_latency;

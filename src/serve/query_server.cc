@@ -151,7 +151,8 @@ void QueryServer::Reply(Request* request, Result<Payload> outcome,
 
 std::future<QueryResponse> QueryServer::Submit(CdiQuery query) {
   metrics_.submitted.fetch_add(1, std::memory_order_relaxed);
-  Request request{std::move(query)};
+  Request request;
+  request.query = std::move(query);
   const CdiQuery& q = request.query;
   request.submit_time = Clock::now();
   std::future<QueryResponse> future = request.promise.get_future();
@@ -235,23 +236,7 @@ Result<std::shared_ptr<const ScenarioBundle>> QueryServer::UpdateScenario(
     const std::string& name, const table::Table& row_batch) {
   const Clock::time_point start = Clock::now();
 
-  // Harvest the superseded epoch's discovery warm-seed (the algorithm's
-  // own preferred shape: PC skeleton / GES DAG / C-DAG definite edges)
-  // for the new epoch's first plan build. Best-effort: no snapshot or no
-  // built plan simply means a cold start.
-  std::vector<std::pair<std::string, std::string>> warm_edges;
-  if (auto old = registry_->Snapshot(name); old.ok()) {
-    CdiQuery probe;  // default options -> the bundle's fingerprint
-    probe.scenario = name;
-    const std::uint64_t plan_key = PlanCacheKey(**old, probe);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (const auto* plan = plans_.Find(plan_key)) {
-      warm_edges = (*plan)->artifact().build.warm_seed;
-    }
-  }
-
-  auto updated =
-      registry_->UpdateScenario(name, row_batch, std::move(warm_edges));
+  auto updated = registry_->UpdateScenario(name, row_batch);
   if (!updated.ok()) return updated;
 
   metrics_.epoch_rollovers.fetch_add(1, std::memory_order_relaxed);
@@ -416,22 +401,17 @@ Result<Payload> QueryServer::Compute(const Request& request,
   }
   CDI_ASSIGN_OR_RETURN(auto run,
                        RunPipeline(request, request.query.exposure,
-                                   request.query.outcome, /*warm=*/false,
-                                   token));
+                                   request.query.outcome, token));
   return Payload(std::make_shared<const core::PipelineResult>(std::move(run)));
 }
 
 Result<core::PipelineResult> QueryServer::RunPipeline(
     const Request& request, const std::string& exposure,
-    const std::string& outcome, bool warm, CancelToken* token) const {
+    const std::string& outcome, CancelToken* token) const {
   core::PipelineOptions pipeline_options =
       request.query.options.has_value() ? *request.query.options
                                         : request.bundle->default_options;
   pipeline_options.num_threads = options_.pipeline_threads;
-  if (warm) {
-    pipeline_options.builder.warm_start_edges =
-        request.bundle->warm_start_edges;
-  }
   const datagen::Scenario& sc = *request.bundle->scenario;
   core::Pipeline pipeline(&sc.kg, &sc.lake, sc.oracle.get(), &sc.topics,
                           pipeline_options);
@@ -448,22 +428,15 @@ Result<std::shared_ptr<const core::CdagPlan>> QueryServer::GetOrBuildPlan(
   // exposure/outcome pair — built once per (scenario, epoch, options),
   // then shared by every planned pair query.
   const auto build = [&]() -> Result<std::shared_ptr<const core::CdagPlan>> {
-    // Warm-start: seed the discovery stage with the superseded epoch's
-    // C-DAG (stashed on the bundle by UpdateScenario). Opt-in — a warm
-    // run may converge differently than a cold one, and the seed is part
-    // of the options fingerprint, so the two never share cache keys.
-    const bool warm = options_.warm_start_plans &&
-                      !request.bundle->warm_start_edges.empty();
     const datagen::Scenario& sc = *request.bundle->scenario;
     CDI_ASSIGN_OR_RETURN(auto run,
                          RunPipeline(request, sc.exposure_attribute,
-                                     sc.outcome_attribute, warm, token));
+                                     sc.outcome_attribute, token));
     CDI_ASSIGN_OR_RETURN(auto plan,
                          core::CdagPlan::Build(
                              std::make_shared<const core::PipelineResult>(
                                  std::move(run))));
     metrics_.plan_builds.fetch_add(1, std::memory_order_relaxed);
-    if (warm) metrics_.warm_start_hits.fetch_add(1, std::memory_order_relaxed);
     return std::make_shared<const core::CdagPlan>(std::move(plan));
   };
   // Concurrent requests wait for the leader's build, each up to its own

@@ -139,15 +139,6 @@ struct QueryServerOptions {
   /// `num_threads` handed to each pipeline run (results are
   /// bitwise-identical at any value, so this is pure latency tuning).
   int pipeline_threads = 1;
-  /// Warm-start planned builds: when a bundle carries warm_start_edges
-  /// (stashed by UpdateScenario from the superseded epoch's C-DAG), seed
-  /// the plan build's discovery stage with them instead of starting cold.
-  /// Off by default: a warm-started discovery run can legitimately
-  /// converge to a different graph than a cold one, so deployments that
-  /// verify served answers byte-for-byte against a cold pipeline (the
-  /// loadgen churn check) must leave this off. The seed is mixed into the
-  /// options fingerprint, so warm and cold plans never share cache keys.
-  bool warm_start_plans = false;
   /// Test hook: runs on the worker thread right before each pipeline
   /// execution (used to hold a worker to make queue-full and
   /// mid-execution-deadline scenarios deterministic). Not for production.
@@ -218,11 +209,9 @@ class QueryServer {
 
   /// Streaming row ingest through the serving layer: appends `row_batch`
   /// to the scenario (ScenarioRegistry::UpdateScenario — delta-refreshed
-  /// statistics, fresh epoch) and stashes the superseded epoch's C-DAG
-  /// edges on the new bundle as a warm-start seed for its first plan
-  /// build (consumed only when QueryServerOptions::warm_start_plans is
-  /// on). In-flight queries finish against the old snapshot; the next
-  /// touch under the new epoch evicts the superseded cache entries.
+  /// statistics, fresh epoch). In-flight queries finish against the old
+  /// snapshot; the next touch under the new epoch evicts the superseded
+  /// cache entries.
   /// Records epoch_rollovers / rows_appended / update-latency metrics.
   Result<std::shared_ptr<const ScenarioBundle>> UpdateScenario(
       const std::string& name, const table::Table& row_batch);
@@ -308,11 +297,10 @@ class QueryServer {
   void EvictStaleLocked(const std::string& scenario, std::uint64_t epoch);
 
   /// One pipeline run for `request`'s bundle and options on the given
-  /// pair; `warm` seeds discovery with the bundle's warm-start edges.
+  /// pair.
   Result<core::PipelineResult> RunPipeline(const Request& request,
                                            const std::string& exposure,
                                            const std::string& outcome,
-                                           bool warm,
                                            CancelToken* token) const;
 
   /// Resolves the scenario's C-DAG plan for a planned or summarize

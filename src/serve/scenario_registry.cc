@@ -56,9 +56,6 @@ std::size_t EstimateBundleBytes(const ScenarioBundle& bundle) {
   for (const auto& a : bundle.numeric_attributes) {
     bytes += a.size() + sizeof(std::string);
   }
-  for (const auto& [from, to] : bundle.warm_start_edges) {
-    bytes += from.size() + to.size() + 2 * sizeof(std::string);
-  }
   if (bundle.scenario != nullptr) bytes += bundle.scenario->lake.IndexBytes();
   return bytes;
 }
@@ -226,8 +223,7 @@ Status ScenarioRegistry::Unregister(const std::string& name) {
 }
 
 Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::UpdateScenario(
-    const std::string& name, const table::Table& row_batch,
-    std::vector<std::pair<std::string, std::string>> warm_start_edges) {
+    const std::string& name, const table::Table& row_batch) {
   if (row_batch.num_rows() == 0) {
     return Status::InvalidArgument("row batch for scenario '" + name +
                                    "' has no rows");
@@ -271,7 +267,6 @@ Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::UpdateScenario(
   bundle->default_options = old->default_options;
   bundle->default_options_fingerprint = old->default_options_fingerprint;
   bundle->numeric_attributes = old->numeric_attributes;
-  bundle->warm_start_edges = std::move(warm_start_edges);
   bundle->rows_appended = row_batch.num_rows();
 
   if (old->input_stats != nullptr) {

@@ -63,12 +63,6 @@ struct ScenarioBundle {
   /// Input-table numeric columns (query exposure/outcome candidates), in
   /// schema order, paired with their index into `input_stats`.
   std::vector<std::string> numeric_attributes;
-  /// Warm-start seed for this epoch's discovery runs: the previous
-  /// epoch's C-DAG edges in cluster-topic space, stashed by
-  /// UpdateScenario when the caller has one (typically the superseded
-  /// epoch's built plan). Empty = cold. Consumed opt-in by the query
-  /// server's plan builds (QueryServerOptions::warm_start_plans).
-  std::vector<std::pair<std::string, std::string>> warm_start_edges;
   /// Rows appended by the UpdateScenario that published this bundle
   /// (0 for Register/Replace bundles).
   std::size_t rows_appended = 0;
@@ -201,16 +195,14 @@ class ScenarioRegistry {
   /// from scratch. In-flight queries holding the old snapshot keep
   /// observing the old table and statistics; the epoch bump makes the
   /// query server's stale-epoch eviction retire superseded cache
-  /// entries, exactly as for Replace. `warm_start_edges` (optional) is
-  /// stashed on the new bundle for warm-started discovery.
+  /// entries, exactly as for Replace.
   ///
   /// kNotFound when unregistered (or evicted meanwhile); kInvalidArgument
   /// on schema mismatch or an empty batch; kAborted when the scenario was
   /// concurrently replaced while the delta was being prepared (retry with
   /// a fresh snapshot).
   Result<std::shared_ptr<const ScenarioBundle>> UpdateScenario(
-      const std::string& name, const table::Table& row_batch,
-      std::vector<std::pair<std::string, std::string>> warm_start_edges = {});
+      const std::string& name, const table::Table& row_batch);
 
   /// Current bundle for `name`. kNotFound when unregistered, with a
   /// message that says *why* the name is gone when it used to be live

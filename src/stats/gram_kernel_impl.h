@@ -114,9 +114,10 @@ void GramCrossImpl(const double* a, const double* b, std::size_t count,
 /// dst[i * kGramTile + c] = cols[c][i] - means[c]: the scalar pack. The
 /// per-element subtraction is the only arithmetic, so any traversal
 /// order packs the same bits; vector backends override this with
-/// in-register transposes.
-void GramPackTileImpl(const double* const* cols, const double* means,
-                      std::size_t count, double* dst) {
+/// in-register transposes (so a vector TU may leave it unused).
+[[maybe_unused]] void GramPackTileImpl(const double* const* cols,
+                                       const double* means, std::size_t count,
+                                       double* dst) {
   for (std::size_t c = 0; c < kGramTile; ++c) {
     const double* col = cols[c];
     const double m = means[c];
@@ -130,7 +131,8 @@ void GramPackTileImpl(const double* const* cols, const double* means,
 /// Present (non-NaN) bits, LSB-first, count <= 64. Four independent
 /// partial words break the OR dependency chain; the merge order is
 /// irrelevant because the bit positions are disjoint.
-std::uint64_t GramPresentBitsImpl(const double* col, std::size_t count) {
+[[maybe_unused]] std::uint64_t GramPresentBitsImpl(const double* col,
+                                                   std::size_t count) {
   std::uint64_t b0 = 0, b1 = 0, b2 = 0, b3 = 0;
   std::size_t i = 0;
   for (; i + 4 <= count; i += 4) {

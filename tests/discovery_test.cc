@@ -218,82 +218,6 @@ TEST(PcTest, MaxCondSizeLimitsTests) {
             3u);
 }
 
-TEST(PcTest, WarmStartCompleteSeedMatchesColdExactly) {
-  // Seeding with the complete graph makes warm-start PC consider exactly
-  // the candidate set cold PC starts from, so skeleton, sepsets, and
-  // orientations must all coincide — on oracle and on finite data alike.
-  Rng rng(61);
-  graph::Digraph g = graph::RandomDag(6, 0.35, &rng);
-  auto oracle = DSeparationOracle::Create(g);
-  auto cold = RunPc(**oracle, g.NodeNames());
-  ASSERT_TRUE(cold.ok());
-  PcOptions warm_options;
-  warm_options.warm_start = true;
-  for (std::size_t a = 0; a < 6; ++a) {
-    for (std::size_t b = a + 1; b < 6; ++b) {
-      warm_options.warm_edges.emplace_back(a, b);
-    }
-  }
-  auto warm = RunPc(**oracle, g.NodeNames(), warm_options);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->graph.DirectedEdges(), cold->graph.DirectedEdges());
-  EXPECT_EQ(warm->graph.UndirectedEdges(), cold->graph.UndirectedEdges());
-  EXPECT_EQ(warm->sepsets, cold->sepsets);
-  EXPECT_EQ(warm->ci_tests, cold->ci_tests);
-}
-
-TEST(PcTest, WarmStartSeedFromPreviousRunPrunesOnly) {
-  // The epoch-rollover pattern: seed from the previous run's skeleton on
-  // the same data. The sweep can only prune, so the warm skeleton is a
-  // subset of the seed — here the data is unchanged, so it is identical —
-  // and it gets there with no more CI tests than the cold run.
-  auto test = FisherZTest::Create(TriangleData(4000, 63));
-  ASSERT_TRUE(test.ok());
-  auto cold = RunPc(**test, {"a", "b", "c"});
-  ASSERT_TRUE(cold.ok());
-  PcOptions warm_options;
-  warm_options.warm_start = true;
-  for (const auto& [a, b] : cold->graph.DirectedEdges()) {
-    warm_options.warm_edges.emplace_back(a, b);
-  }
-  for (const auto& [a, b] : cold->graph.UndirectedEdges()) {
-    warm_options.warm_edges.emplace_back(a, b);
-  }
-  auto warm = RunPc(**test, {"a", "b", "c"}, warm_options);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->graph.DirectedEdges(), cold->graph.DirectedEdges());
-  EXPECT_EQ(warm->graph.UndirectedEdges(), cold->graph.UndirectedEdges());
-  EXPECT_LE(warm->ci_tests, cold->ci_tests);
-}
-
-TEST(PcTest, WarmStartEmptySeedSkipsAllTests) {
-  // warm_start with no edges means "everything was already separated":
-  // the run must return the empty graph without a single CI test.
-  auto test = FisherZTest::Create(TriangleData(500, 67));
-  ASSERT_TRUE(test.ok());
-  PcOptions warm_options;
-  warm_options.warm_start = true;
-  auto warm = RunPc(**test, {"a", "b", "c"}, warm_options);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->graph.num_directed() + warm->graph.num_undirected(), 0u);
-  EXPECT_EQ(warm->ci_tests, 0u);
-}
-
-TEST(PcTest, WarmStartRejectsOutOfRangeSeed) {
-  auto test = FisherZTest::Create(TriangleData(500, 69));
-  ASSERT_TRUE(test.ok());
-  PcOptions bad;
-  bad.warm_start = true;
-  bad.warm_edges = {{0, 99}};
-  auto result = RunPc(**test, {"a", "b", "c"}, bad);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  PcOptions self_loop;
-  self_loop.warm_start = true;
-  self_loop.warm_edges = {{1, 1}};
-  EXPECT_FALSE(RunPc(**test, {"a", "b", "c"}, self_loop).ok());
-}
-
 // ------------------------------------------------------------------- FCI
 
 TEST(FciTest, VStructureGetsArrowheads) {
@@ -420,58 +344,6 @@ TEST(GesTest, MaxParentsRespected) {
   for (graph::NodeId v = 0; v < 4; ++v) {
     EXPECT_LE(result->dag.Parents(v).size(), 1u);
   }
-}
-
-TEST(GesTest, SeededSearchConvergesToColdCpdagWithFewerSteps) {
-  // Seed the search with the cold run's own DAG: the forward phase starts
-  // at (or next to) the optimum, so it must land on the same CPDAG in
-  // fewer forward insertions.
-  Rng rng(71);
-  const std::size_t n = 3000;
-  std::vector<double> a(n), b(n), c(n), d(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a[i] = rng.Normal();
-    b[i] = 0.8 * a[i] + rng.Normal();
-    c[i] = 0.8 * b[i] + rng.Normal();
-    d[i] = 0.7 * c[i] + rng.Normal();
-  }
-  const std::vector<std::string> names = {"a", "b", "c", "d"};
-  auto cold = RunGes({a, b, c, d}, names);
-  ASSERT_TRUE(cold.ok());
-  GesOptions seeded;
-  for (const auto& e : cold->dag.Edges()) seeded.seed_edges.push_back(e);
-  auto warm = RunGes({a, b, c, d}, names, seeded);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->cpdag.DirectedEdges(), cold->cpdag.DirectedEdges());
-  EXPECT_EQ(warm->cpdag.UndirectedEdges(), cold->cpdag.UndirectedEdges());
-  EXPECT_LT(warm->forward_steps, cold->forward_steps);
-}
-
-TEST(GesTest, IllegalSeedEdgesAreSkippedSilently) {
-  // Out-of-range endpoints, self-loops, duplicates, and cycle-closing
-  // edges in the seed are dropped during installation; the search still
-  // runs and converges on the same easy structure as the cold run.
-  Rng rng(73);
-  const std::size_t n = 2500;
-  std::vector<double> a(n), b(n), c(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a[i] = rng.Normal();
-    b[i] = 0.8 * a[i] + rng.Normal();
-    c[i] = 0.8 * b[i] + rng.Normal();
-  }
-  const std::vector<std::string> names = {"a", "b", "c"};
-  auto cold = RunGes({a, b, c}, names);
-  ASSERT_TRUE(cold.ok());
-  GesOptions dirty;
-  dirty.seed_edges = {{0, 99},  // out of range
-                      {1, 1},   // self-loop
-                      {0, 1},  {1, 0},   // second direction closes a cycle
-                      {0, 1},   // duplicate
-                      {1, 2}};
-  auto warm = RunGes({a, b, c}, names, dirty);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->cpdag.DirectedEdges(), cold->cpdag.DirectedEdges());
-  EXPECT_EQ(warm->cpdag.UndirectedEdges(), cold->cpdag.UndirectedEdges());
 }
 
 // ---------------------------------------------------------------- LiNGAM

@@ -197,8 +197,7 @@ TEST(ScenarioRegistryTest, UpdateScenarioDeltaRefreshesStatsBitwise) {
   for (std::size_t r = 0; r < 25; ++r) picks.push_back(r);
   const table::Table batch = old_bundle->input->TakeRows(picks);
 
-  auto updated = registry.UpdateScenario(
-      "covid", batch, {{"mobility", "infection pressure"}});
+  auto updated = registry.UpdateScenario("covid", batch);
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
   const auto fresh_bundle = *updated;
   EXPECT_GT(fresh_bundle->epoch, old_bundle->epoch);
@@ -207,8 +206,6 @@ TEST(ScenarioRegistryTest, UpdateScenarioDeltaRefreshesStatsBitwise) {
   EXPECT_EQ(fresh_bundle->scenario.get(), old_bundle->scenario.get());
   EXPECT_EQ(fresh_bundle->numeric_attributes,
             old_bundle->numeric_attributes);
-  ASSERT_EQ(fresh_bundle->warm_start_edges.size(), 1u);
-  EXPECT_EQ(fresh_bundle->warm_start_edges[0].first, "mobility");
 
   // The superseded snapshot is untouched for in-flight queries.
   EXPECT_EQ(old_bundle->input->num_rows(), old_rows);
@@ -1158,9 +1155,9 @@ TEST(QueryServerTest, InvalidateCacheDropsCompletedEntriesOnly) {
 
 /// UpdateScenario through the server: answers served after the rollover
 /// must equal — byte for byte — a direct Pipeline::Run on the grown
-/// table, the previous epoch's plan seeds the new bundle's warm-start
-/// edges, and the streaming counters tick.
-TEST(QueryServerTest, UpdateScenarioServesFreshAnswersAndStashesWarmEdges) {
+/// table, the superseded epoch's plan is rebuilt for the new one, and the
+/// streaming counters tick.
+TEST(QueryServerTest, UpdateScenarioServesFreshAnswers) {
   ScenarioRegistry registry;
   auto bundle = *registry.Register("covid", BuildCovid());
   const auto& attrs = bundle->numeric_attributes;
@@ -1168,8 +1165,8 @@ TEST(QueryServerTest, UpdateScenarioServesFreshAnswersAndStashesWarmEdges) {
   options.num_workers = 2;
   QueryServer server(&registry, options);
 
-  // Build the epoch-1 plan (planned query) so the update has warm edges
-  // to harvest, plus a full-mode answer to go stale.
+  // Build the epoch-1 plan (planned query) and a full-mode answer, both
+  // of which go stale with the update.
   auto planned = Query(attrs[0], attrs[1]);
   planned.mode = QueryMode::kPlanned;
   (void)server.Execute(planned);
@@ -1185,13 +1182,6 @@ TEST(QueryServerTest, UpdateScenarioServesFreshAnswersAndStashesWarmEdges) {
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
   EXPECT_GT((*updated)->epoch, bundle->epoch);
 
-  // Warm edges harvested from the superseded epoch's built plan — the
-  // discovery warm-seed shape (== definite edges for the hybrid mode).
-  const core::CdagPlan fresh = FreshPlan(*bundle);
-  EXPECT_EQ((*updated)->warm_start_edges, fresh.artifact().build.warm_seed);
-  EXPECT_EQ(fresh.artifact().build.warm_seed,
-            fresh.artifact().build.definite);
-
   auto after = server.Execute(q);
   ASSERT_TRUE(after.status.ok()) << after.status.ToString();
   EXPECT_EQ(after.source, ResponseSource::kExecuted);  // stale entry gone
@@ -1206,8 +1196,12 @@ TEST(QueryServerTest, UpdateScenarioServesFreshAnswersAndStashesWarmEdges) {
     EXPECT_EQ(FormatResultPayload(*after.result()),
               FormatResultPayload(*direct));
   }
+  auto replanned = server.Execute(planned);
+  ASSERT_TRUE(replanned.status.ok()) << replanned.status.ToString();
+  EXPECT_EQ(replanned.scenario_epoch, (*updated)->epoch);
 
   const auto metrics = server.Metrics();
+  EXPECT_EQ(metrics.plan_builds, 2u);  // one per epoch
   EXPECT_EQ(metrics.epoch_rollovers, 1u);
   EXPECT_EQ(metrics.rows_appended, 30u);
   EXPECT_EQ(metrics.update_latency.total_count, 1u);
@@ -1215,52 +1209,6 @@ TEST(QueryServerTest, UpdateScenarioServesFreshAnswersAndStashesWarmEdges) {
   // Unknown scenario surfaces the registry error untouched.
   EXPECT_EQ(server.UpdateScenario("nope", batch).status().code(),
             StatusCode::kNotFound);
-}
-
-/// With warm_start_plans on, the post-update plan build consumes the
-/// stashed seed (warm_start_hits ticks) and still answers every pair the
-/// cold plan answers.
-TEST(QueryServerTest, WarmStartedPlanRebuildAnswersAllPairs) {
-  ScenarioRegistry registry;
-  auto bundle = *registry.Register("covid", BuildCovid());
-  const auto& attrs = bundle->numeric_attributes;
-  QueryServerOptions options;
-  options.num_workers = 2;
-  options.warm_start_plans = true;
-  QueryServer server(&registry, options);
-
-  auto planned = Query(attrs[0], attrs[1]);
-  planned.mode = QueryMode::kPlanned;
-  auto cold = server.Execute(planned);
-  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
-  EXPECT_EQ(server.Metrics().warm_start_hits, 0u);  // epoch 1 had no seed
-
-  std::vector<std::size_t> picks;
-  for (std::size_t r = 0; r < 20; ++r) picks.push_back(r);
-  auto updated =
-      server.UpdateScenario("covid", bundle->input->TakeRows(picks));
-  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
-  ASSERT_FALSE((*updated)->warm_start_edges.empty());
-
-  int answered = 0;
-  for (const auto& t : attrs) {
-    for (const auto& o : attrs) {
-      if (t == o) continue;
-      auto q = Query(t, o);
-      q.mode = QueryMode::kPlanned;
-      auto response = server.Execute(q);
-      if (response.status.ok()) {
-        ++answered;
-        EXPECT_EQ(response.scenario_epoch, (*updated)->epoch);
-      } else {
-        EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
-      }
-    }
-  }
-  EXPECT_GT(answered, 0);
-  const auto metrics = server.Metrics();
-  EXPECT_EQ(metrics.plan_builds, 2u);      // one cold, one warm
-  EXPECT_EQ(metrics.warm_start_hits, 1u);  // only the rebuild had a seed
 }
 
 // ---------------------------------------------------------Line protocol
@@ -1559,28 +1507,23 @@ TEST(MetricsTest, StreamingCountersSubtractAndRender) {
   ServerMetrics metrics;
   metrics.epoch_rollovers.store(2);
   metrics.rows_appended.store(50);
-  metrics.warm_start_hits.store(1);
   metrics.update_latency.Record(2e-3);
   const auto before = metrics.Snapshot();
   EXPECT_EQ(before.epoch_rollovers, 2u);
   EXPECT_EQ(before.rows_appended, 50u);
-  EXPECT_EQ(before.warm_start_hits, 1u);
   EXPECT_EQ(before.update_latency.total_count, 1u);
 
   metrics.epoch_rollovers.store(3);
   metrics.rows_appended.store(75);
-  metrics.warm_start_hits.store(3);
   metrics.update_latency.Record(4e-3);
   const auto delta = metrics.Snapshot().Since(before);
   EXPECT_EQ(delta.epoch_rollovers, 1u);
   EXPECT_EQ(delta.rows_appended, 25u);
-  EXPECT_EQ(delta.warm_start_hits, 2u);
   EXPECT_EQ(delta.update_latency.total_count, 1u);
 
   const std::string line = metrics.Snapshot().ToLine();
   EXPECT_NE(line.find("epoch_rollovers=3"), std::string::npos) << line;
   EXPECT_NE(line.find("rows_appended=75"), std::string::npos) << line;
-  EXPECT_NE(line.find("warm_start_hits=3"), std::string::npos) << line;
   EXPECT_NE(line.find("update_p99_us="), std::string::npos) << line;
 }
 
@@ -2034,6 +1977,28 @@ TEST(LineProtocolTest, ParsesRegisterGenerateAndUnregister) {
   EXPECT_FALSE(gen->replace);
   EXPECT_EQ(ParseCommandLine("generate g entities=60").status().code(),
             StatusCode::kInvalidArgument);
+  // Negative, overflowing and over-ceiling counts are rejected at parse
+  // (strtoull would have wrapped "-1" into a 2^64-1 allocation request).
+  for (const std::string& bad : std::vector<std::string>{
+           "entities=-1", "entities=+5", "entities=18446744073709551616",
+           "seed=-1", "seed=99999999999999999999999",
+           "entities=" + std::to_string(kMaxGenerateEntities + 1)}) {
+    auto p = ParseCommandLine("generate g grid=grid_c4_lin_cont_m0_p1_o0 " +
+                              bad);
+    EXPECT_FALSE(p.ok()) << bad;
+    EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  auto ceiling = ParseCommandLine(
+      "generate g grid=grid_c4_lin_cont_m0_p1_o0 entities=" +
+      std::to_string(kMaxGenerateEntities) + " seed=18446744073709551615");
+  ASSERT_TRUE(ceiling.ok()) << ceiling.status().ToString();
+  EXPECT_EQ(ceiling->generate_entities, kMaxGenerateEntities);
+  EXPECT_EQ(ceiling->generate_seed, 18446744073709551615ull);
+  EXPECT_NE(ParseCommandLine("generate g")
+                .status()
+                .message()
+                .find(std::to_string(kMaxGenerateEntities)),
+            std::string::npos);
 
   auto unreg = ParseCommandLine("unregister mysc");
   ASSERT_TRUE(unreg.ok());

@@ -1,9 +1,9 @@
 // cdi_cli — run the Causal Data Integration pipeline on CSV inputs.
 //
 // Usage:
-//   cdi_cli --input cohort.csv --entity-col id --exposure t --outcome o \
-//           [--kg triples.csv] [--lake table.csv]... \
-//           [--knowledge domain.txt] [--clusters K] [--num-threads N] \
+//   cdi_cli --input cohort.csv --entity-col id --exposure t --outcome o
+//           [--kg triples.csv] [--lake table.csv]...
+//           [--knowledge domain.txt] [--clusters K] [--num-threads N]
 //           [--out-prefix cdi]
 //
 // Inputs:

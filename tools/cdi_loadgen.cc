@@ -759,7 +759,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const auto warm_start = server.Metrics();
+  const auto warm_begin = server.Metrics();
 
   const std::uint64_t total = static_cast<std::uint64_t>(args.clients) *
                               static_cast<std::uint64_t>(args.requests);
@@ -861,7 +861,7 @@ int main(int argc, char** argv) {
   for (auto& t : clients) t.join();
   if (updater.joinable()) updater.join();
 
-  const auto warm = server.Metrics().Since(warm_start);
+  const auto warm = server.Metrics().Since(warm_begin);
   server.Shutdown();
 
   // ---- Report. -----------------------------------------------------------

@@ -22,6 +22,7 @@
 //   generate <name> grid=<cell> [entities=<n>] [seed=<s>] [replace]
 //                                       # fast path: materialize a named
 //                                       # generator-grid cell in process
+//                                       # (entities at most 100000)
 //   unregister <name>                   # runtime removal
 //   metrics        # one-line MetricsSnapshot
 //   scenarios      # registered scenarios and their numeric attributes
@@ -54,7 +55,7 @@
 //   $ build/tools/cdi_serve --entities 200
 //   ready scenarios=covid,flights workers=4 queue_depth=64
 //   query covid country_code covid_death_rate
-//   ok scenario=covid T=country_code O=covid_death_rate source=executed \
+//   ok scenario=covid T=country_code O=covid_death_rate source=executed
 //      direct=... fingerprint=... latency_us=...
 //   query covid country_code covid_death_rate
 //   ok ... source=hit ... latency_us=...

@@ -30,7 +30,7 @@ BENCH_FILTER = (
     "BM_CorrelationMatrix|BM_CovarianceReference|BM_CovarianceBlockedSweep|"
     "BM_SufficientStatsAppend|BM_AppendRows|BM_ServeCacheHit|"
     "BM_ServeCacheMiss|BM_ServeSingleFlight|BM_ServePlannedQuery|"
-    "BM_CdagArtifactBuild|BM_UpdateScenario|BM_WarmStartDiscovery|"
+    "BM_CdagArtifactBuild|BM_UpdateScenario|"
     "BM_RegisterScenario|BM_RegistryLookupSharded|BM_EvictionChurn|"
     "BM_GramSimd|BM_PartialCorrSubsets|BM_PcSkeletonDense|"
     "BM_SummarizeDag|BM_ServeSummaryHit"
