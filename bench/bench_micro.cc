@@ -517,13 +517,25 @@ void BM_PipelineEndToEnd(benchmark::State& state) {
 BENCHMARK(BM_PipelineEndToEnd)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The Knowledge Extractor alone (KG properties + lake join + relevance
-// scoring) on the default FLIGHTS (0) and COVID (1) specs, with the
-// evaluation options the pipeline runs it under. The lake's join index is
-// built with the scenario, outside the timed loop, as registration does.
+// scoring) on the default FLIGHTS (0) and COVID (1) specs and on one grid
+// cell at 200 entities (2), shaped like the scenarios a served cold build
+// extracts from (~200 rows, 2 references, a handful of KG and lake
+// candidates), with the evaluation options the pipeline runs it under.
+// The KG and lake indexes are built with the scenario, outside the timed
+// loop, as registration does.
 void BM_KnowledgeExtract(benchmark::State& state) {
-  const bool covid = state.range(0) != 0;
-  const cdi::datagen::ScenarioSpec spec =
-      covid ? cdi::datagen::CovidSpec() : cdi::datagen::FlightsSpec();
+  cdi::datagen::ScenarioSpec spec;
+  if (state.range(0) == 2) {
+    cdi::datagen::GridCell cell;
+    cell.nonlinear = true;
+    cell.attrs_per_cluster = 2;
+    cell.mnar_level = 1;
+    cell.oracle_noise = 2;
+    spec = cdi::datagen::GridScenarioSpec(cell, 200);
+  } else {
+    spec = state.range(0) == 1 ? cdi::datagen::CovidSpec()
+                               : cdi::datagen::FlightsSpec();
+  }
   auto scenario = cdi::datagen::BuildScenario(spec);
   CDI_CHECK(scenario.ok());
   const auto& s = **scenario;
@@ -536,9 +548,14 @@ void BM_KnowledgeExtract(benchmark::State& state) {
     CDI_CHECK(extraction.ok());
     benchmark::DoNotOptimize(extraction->attributes.size());
   }
-  state.SetLabel(covid ? "covid" : "flights");
+  const char* labels[] = {"flights", "covid", "grid200"};
+  state.SetLabel(labels[state.range(0)]);
 }
-BENCHMARK(BM_KnowledgeExtract)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KnowledgeExtract)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DSeparation(benchmark::State& state) {
   Rng rng(17);

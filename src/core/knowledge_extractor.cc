@@ -26,7 +26,7 @@ std::size_t PairwiseCount(cdi::DoubleSpan a, cdi::DoubleSpan b) {
 
 /// A relevance reference with the work every candidate would otherwise
 /// redo computed once per Extract: its rank order (Spearman) and its
-/// tercile bins (the nonlinear test).
+/// tercile bins (the nonlinear test), the latter read off the former.
 struct Reference {
   cdi::DoubleSpan vals;
   std::vector<std::size_t> order;
@@ -74,7 +74,9 @@ Result<ExtractionResult> KnowledgeExtractor::Extract(
   references.reserve(reference_vals.size());
   for (const DoubleSpan& vals : reference_vals) {
     Reference ref{vals, stats::RankOrder(vals), {}};
-    if (options_.nonlinear_relevance) ref.bins = stats::QuantileBin(vals, 3);
+    if (options_.nonlinear_relevance) {
+      ref.bins = stats::QuantileBin(vals, ref.order, 3);
+    }
     references.push_back(std::move(ref));
   }
   // Relevance of a numeric column: strongest robust association with any
@@ -98,7 +100,7 @@ Result<ExtractionResult> KnowledgeExtractor::Extract(
       // Binned chi-square catches non-monotone associations Pearson and
       // Spearman both miss (e.g. a U-shaped confounder). Cramer's V serves
       // as its effect size for the magnitude floor.
-      const auto bv = stats::QuantileBin(vals, 3);
+      const auto bv = stats::QuantileBin(vals, order, 3);
       for (const auto& ref : references) {
         auto r = stats::ChiSquareIndependence(bv, ref.bins);
         if (r.ok()) {
@@ -137,11 +139,10 @@ Result<ExtractionResult> KnowledgeExtractor::Extract(
   if (kg_ != nullptr) {
     CDI_ASSIGN_OR_RETURN(
         table::Table kg_table,
-        kg_->ExtractProperties(keys, entity_column, options_.follow_kg_links,
-                               meter));
+        kg_->ExtractProperties(keys, /*key_name=*/"",
+                               options_.follow_kg_links, meter));
     for (std::size_t c = 0; c < kg_table.num_cols(); ++c) {
       const table::Column& col = kg_table.ColumnAt(c);
-      if (col.name() == entity_column) continue;
       ++result.kg_columns_found;
       Candidate cand{col, {}, 0.0};
       cand.info.name = col.name();

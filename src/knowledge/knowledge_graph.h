@@ -1,8 +1,10 @@
 #ifndef CDI_KNOWLEDGE_KNOWLEDGE_GRAPH_H_
 #define CDI_KNOWLEDGE_KNOWLEDGE_GRAPH_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -16,6 +18,15 @@ namespace cdi::knowledge {
 /// literal-valued properties ("avg_temp" -> 61.17) and entity-valued
 /// properties ("governor" -> another entity), which the extractor can
 /// follow one level deep — the paper's "follow links in the KG" idea.
+///
+/// The store is its own extraction index, kept current by AddLiteral and
+/// AddLink (never built lazily, so concurrent const readers need no
+/// lock). Every entity, and every link target, has a dense slot. Literal
+/// and link property names have global ids, and a name-ordered map from
+/// name to id. A slot holds one presence bit per property id and its
+/// values (link targets as slots) in id order, so a cell is found by a
+/// popcount, the column union of a row set is an OR of masks, and no
+/// string is compared after the one slot lookup per row.
 class KnowledgeGraph {
  public:
   /// Nominal per-lookup latency charged to a LatencyMeter (a remote SPARQL
@@ -53,25 +64,55 @@ class KnowledgeGraph {
   const EntityLinker& linker() const { return linker_; }
   EntityLinker& mutable_linker() { return linker_; }
 
-  std::size_t num_entities() const { return literals_.size(); }
-
   /// Extracts a property table for `surface_keys` (one row each, in
   /// order): links each key via the entity linker, emits one column per
   /// literal property observed on any linked entity (null where absent),
   /// and — when `follow_links` is true — additionally pulls the literal
-  /// properties of link targets as "<link>_<property>" columns.
-  /// Keys that fail to link produce all-null rows. Each entity lookup is
-  /// charged to `meter` (may be null). Column `key_name` holds the
-  /// original surface keys so the result joins back to the input table.
+  /// properties of link targets as "<link>_<property>" columns. Columns
+  /// come in name order: literals, then per link its target properties.
+  /// A column's type is string if any cell is a string, else double, else
+  /// int64, else bool; other cells are coerced to it. Keys that fail to
+  /// link produce all-null rows. Each entity lookup and each followed link
+  /// is charged to `meter` (may be null). Unless `key_name` is empty, a
+  /// first column of that name holds the original surface keys so the
+  /// result joins back to the input table.
   Result<table::Table> ExtractProperties(
       const std::vector<std::string>& surface_keys,
       const std::string& key_name, bool follow_links,
       LatencyMeter* meter) const;
 
  private:
-  // entity -> property -> value
-  std::map<std::string, std::map<std::string, table::Value>> literals_;
-  std::map<std::string, std::map<std::string, std::string>> links_;
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  /// An entity or a link target. Masks hold one bit per property id;
+  /// values are in id order.
+  struct Slot {
+    std::string name;
+    /// Named as the subject of AddLiteral or AddLink; a slot made only as
+    /// a link target is not an entity.
+    bool is_entity = false;
+    std::vector<std::uint64_t> literal_mask;
+    std::vector<table::Value> literals;
+    std::vector<std::uint64_t> link_mask;
+    /// Target slot per link; kNoSlot for an empty target name.
+    std::vector<std::uint32_t> links;
+  };
+
+  /// The slot named `name`, kNoSlot when there is none.
+  std::uint32_t FindSlot(const std::string& name) const;
+  /// The slot named `name`, made if missing.
+  std::uint32_t InternSlot(const std::string& name);
+  /// InternSlot(entity), registered as an entity with the linker.
+  Slot& Subject(const std::string& entity);
+  /// The value of the literal `property_id` of `slot`, null when absent.
+  const table::Value* FindLiteral(std::uint32_t slot,
+                                  std::uint32_t property_id) const;
+
+  std::vector<Slot> slots_;
+  std::unordered_map<std::string, std::uint32_t> slot_of_;
+  /// Property name -> id (ids in first-use order; iteration is by name).
+  std::map<std::string, std::uint32_t> literal_ids_;
+  std::map<std::string, std::uint32_t> link_ids_;
   EntityLinker linker_;
 };
 

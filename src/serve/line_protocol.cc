@@ -56,6 +56,21 @@ void MixEdges(Fnv1a& h,
 
 }  // namespace
 
+Result<std::size_t> ParseEntityCount(const std::string& value) {
+  unsigned long long v = 0;
+  if (!ParseUnsigned(value, &v)) {
+    return Status::InvalidArgument(
+        "bad entities value '" + value +
+        "' (expected a non-negative integer below 2^64)");
+  }
+  if (v > kMaxGenerateEntities) {
+    return Status::InvalidArgument("entities=" + value +
+                                   " exceeds the ceiling of " +
+                                   std::to_string(kMaxGenerateEntities));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 std::uint64_t ResultFingerprint(const core::PipelineResult& result) {
   Fnv1a h("cdi::serve::ResultFingerprint/v1");
 
@@ -377,26 +392,18 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
     while (in >> arg) {
       if (arg.rfind("grid=", 0) == 0) {
         cmd.grid_cell = arg.substr(5);
-      } else if (arg.rfind("entities=", 0) == 0 ||
-                 arg.rfind("seed=", 0) == 0) {
-        const bool is_seed = arg[0] == 's';
-        const std::string value = arg.substr(is_seed ? 5 : 9);
+      } else if (arg.rfind("entities=", 0) == 0) {
+        CDI_ASSIGN_OR_RETURN(cmd.generate_entities,
+                             ParseEntityCount(arg.substr(9)));
+      } else if (arg.rfind("seed=", 0) == 0) {
+        const std::string value = arg.substr(5);
         unsigned long long v = 0;
         if (!ParseUnsigned(value, &v)) {
           return Status::InvalidArgument(
-              "bad " + std::string(is_seed ? "seed" : "entities") +
-              " value '" + value +
+              "bad seed value '" + value +
               "' (expected a non-negative integer below 2^64)");
         }
-        if (is_seed) {
-          cmd.generate_seed = v;
-        } else if (v > kMaxGenerateEntities) {
-          return Status::InvalidArgument(
-              "entities=" + value + " exceeds the ceiling of " +
-              std::to_string(kMaxGenerateEntities));
-        } else {
-          cmd.generate_entities = static_cast<std::size_t>(v);
-        }
+        cmd.generate_seed = v;
       } else if (arg == "replace") {
         cmd.replace = true;
       } else {

@@ -121,6 +121,12 @@ struct ServerCommand {
 /// an allocation request a client can make the server die on.
 inline constexpr std::size_t kMaxGenerateEntities = 100000;
 
+/// Parses an entity count, as `generate entities=` and the `--entities`
+/// flags of `cdi_serve` and `cdi_loadgen` take it: a plain non-negative
+/// integer (digits only, no sign or fraction, no 64-bit overflow) at most
+/// kMaxGenerateEntities. kInvalidArgument naming the bad value otherwise.
+Result<std::size_t> ParseEntityCount(const std::string& value);
+
 /// Parses one protocol line:
 ///   `query <scenario> <exposure> <outcome> [timeout=<seconds>]
 ///    [mode=planned|full]`

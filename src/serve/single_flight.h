@@ -123,15 +123,6 @@ class SingleFlightCache {
     return Claim{FlightRole::kLead, Value(), std::move(flight)};
   }
 
-  /// The done value under `key`, or null when absent or pending.
-  const Value* Find(const Key& key) const {
-    auto it = entries_.find(key);
-    if (it == entries_.end() || !it->second->outcome.has_value()) {
-      return nullptr;
-    }
-    return &**it->second->outcome;
-  }
-
   /// The leader's outcome lands: wakes blocked followers and returns the
   /// attached ones for the caller to answer outside the lock. A flight
   /// Abort already answered publishes nothing.

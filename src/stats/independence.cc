@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 #include <unordered_map>
 
 #include "stats/descriptive.h"
@@ -12,59 +13,113 @@ namespace cdi::stats {
 
 namespace {
 
-/// Maps arbitrary codes to a dense 0..k-1 range; -1 stays -1.
-std::vector<int> Densify(const std::vector<int>& x, int* cardinality) {
-  std::map<int, int> remap;
-  std::vector<int> out(x.size(), -1);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] < 0) continue;
-    auto [it, _] = remap.emplace(x[i], static_cast<int>(remap.size()));
-    out[i] = it->second;
+/// A buffer of `n` elements that lives on the stack when `n <= N` and on
+/// the heap otherwise, so the common small tables never allocate.
+template <typename T, std::size_t N>
+class SmallBuffer {
+ public:
+  SmallBuffer(std::size_t n, T fill) {
+    if (n > N) {
+      heap_.assign(n, fill);
+      data_ = heap_.data();
+    } else {
+      std::fill_n(inline_, n, fill);
+      data_ = inline_;
+    }
   }
-  *cardinality = static_cast<int>(remap.size());
-  return out;
-}
+  SmallBuffer(const SmallBuffer&) = delete;
+  SmallBuffer& operator=(const SmallBuffer&) = delete;
 
-/// Chi-square statistic and dof of an r x c contingency table.
-void TableChiSquare(const std::vector<std::vector<double>>& counts,
-                    double* stat, double* dof, double* cramers_v) {
-  const std::size_t r = counts.size();
-  const std::size_t c = r == 0 ? 0 : counts[0].size();
-  std::vector<double> row_sum(r, 0.0), col_sum(c, 0.0);
-  double total = 0;
-  for (std::size_t i = 0; i < r; ++i) {
-    for (std::size_t j = 0; j < c; ++j) {
-      row_sum[i] += counts[i][j];
-      col_sum[j] += counts[i][j];
-      total += counts[i][j];
+  T& operator[](std::size_t i) { return data_[i]; }
+
+ private:
+  T inline_[N];
+  std::vector<T> heap_;
+  T* data_;
+};
+
+/// Codes up to this many (and tables up to its square) stay on the stack.
+constexpr std::size_t kInlineCodes = 16;
+/// Largest code a contingency table accepts; the dense-id maps are
+/// indexed by code.
+constexpr int kMaxCode = (1 << 20) - 1;
+
+/// Chi-square statistic of one contingency table.
+struct CrossTab {
+  /// Rows with both codes present.
+  std::size_t rows = 0;
+  /// Distinct codes of x and of y among those rows.
+  std::size_t kx = 0, ky = 0;
+  double statistic = 0.0;
+  double dof = 0.0;
+  double cramers_v = 0.0;
+};
+
+/// Cross-tabulates x against y over `rows` (every row when null), skipping
+/// rows with a missing code, and, when both sides have at least two
+/// distinct codes, computes the table's chi-square statistic, degrees of
+/// freedom and Cramer's V. Codes get dense ids in first-appearance order
+/// and the statistic is summed over (x id, y id) in that order, so the
+/// floating-point sum is fixed by the data alone.
+Result<CrossTab> CrossTabulate(const std::vector<int>& x,
+                               const std::vector<int>& y,
+                               const std::vector<std::size_t>* rows) {
+  const std::size_t n = rows == nullptr ? x.size() : rows->size();
+  auto row_at = [&](std::size_t k) { return rows == nullptr ? k : (*rows)[k]; };
+  CrossTab tab;
+  int max_x = -1, max_y = -1;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t i = row_at(k);
+    if (x[i] < 0 || y[i] < 0) continue;
+    max_x = std::max(max_x, x[i]);
+    max_y = std::max(max_y, y[i]);
+    ++tab.rows;
+  }
+  if (max_x > kMaxCode || max_y > kMaxCode) {
+    return Status::InvalidArgument("chi-square codes must be below " +
+                                   std::to_string(kMaxCode + 1));
+  }
+  SmallBuffer<int, kInlineCodes> id_x(static_cast<std::size_t>(max_x + 1), -1);
+  SmallBuffer<int, kInlineCodes> id_y(static_cast<std::size_t>(max_y + 1), -1);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t i = row_at(k);
+    if (x[i] < 0 || y[i] < 0) continue;
+    if (id_x[x[i]] < 0) id_x[x[i]] = static_cast<int>(tab.kx++);
+    if (id_y[y[i]] < 0) id_y[y[i]] = static_cast<int>(tab.ky++);
+  }
+  if (tab.kx < 2 || tab.ky < 2) return tab;
+
+  const std::size_t kx = tab.kx, ky = tab.ky;
+  SmallBuffer<std::size_t, kInlineCodes * kInlineCodes> counts(kx * ky, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t i = row_at(k);
+    if (x[i] < 0 || y[i] < 0) continue;
+    ++counts[static_cast<std::size_t>(id_x[x[i]]) * ky +
+             static_cast<std::size_t>(id_y[y[i]])];
+  }
+  // Margins are integer counts, exact in any order. Every id occurs, so
+  // every margin is positive.
+  SmallBuffer<double, kInlineCodes> row_sum(kx, 0.0);
+  SmallBuffer<double, kInlineCodes> col_sum(ky, 0.0);
+  for (std::size_t i = 0; i < kx; ++i) {
+    for (std::size_t j = 0; j < ky; ++j) {
+      const double c = static_cast<double>(counts[i * ky + j]);
+      row_sum[i] += c;
+      col_sum[j] += c;
     }
   }
-  *stat = 0;
-  if (total <= 0) {
-    *dof = 0;
-    *cramers_v = 0;
-    return;
-  }
-  std::size_t nonzero_rows = 0, nonzero_cols = 0;
-  for (double s : row_sum) nonzero_rows += s > 0 ? 1 : 0;
-  for (double s : col_sum) nonzero_cols += s > 0 ? 1 : 0;
-  for (std::size_t i = 0; i < r; ++i) {
-    for (std::size_t j = 0; j < c; ++j) {
+  const double total = static_cast<double>(tab.rows);
+  for (std::size_t i = 0; i < kx; ++i) {
+    for (std::size_t j = 0; j < ky; ++j) {
       const double expected = row_sum[i] * col_sum[j] / total;
-      if (expected > 0) {
-        const double d = counts[i][j] - expected;
-        *stat += d * d / expected;
-      }
+      const double d = static_cast<double>(counts[i * ky + j]) - expected;
+      tab.statistic += d * d / expected;
     }
   }
-  *dof = nonzero_rows >= 1 && nonzero_cols >= 1
-             ? static_cast<double>((nonzero_rows - 1) * (nonzero_cols - 1))
-             : 0.0;
-  const double k = static_cast<double>(
-      std::min(nonzero_rows, nonzero_cols));
-  *cramers_v = (k > 1 && total > 0)
-                   ? std::sqrt(*stat / (total * (k - 1.0)))
-                   : 0.0;
+  tab.dof = static_cast<double>((kx - 1) * (ky - 1));
+  const double k = static_cast<double>(std::min(kx, ky));
+  tab.cramers_v = std::sqrt(tab.statistic / (total * (k - 1.0)));
+  return tab;
 }
 
 }  // namespace
@@ -72,30 +127,14 @@ void TableChiSquare(const std::vector<std::vector<double>>& counts,
 Result<IndependenceResult> ChiSquareIndependence(const std::vector<int>& x,
                                                  const std::vector<int>& y) {
   if (x.size() != y.size()) return Status::InvalidArgument("size mismatch");
-  int kx = 0, ky = 0;
-  // Keep only pairwise-complete entries.
-  std::vector<int> xv, yv;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] < 0 || y[i] < 0) continue;
-    xv.push_back(x[i]);
-    yv.push_back(y[i]);
-  }
-  if (xv.size() < 2) return Status::FailedPrecondition("too few rows");
-  xv = Densify(xv, &kx);
-  yv = Densify(yv, &ky);
-  if (kx < 2 || ky < 2) {
-    // A constant variable is trivially independent of anything.
-    IndependenceResult r;
-    r.p_value = 1.0;
-    return r;
-  }
-  std::vector<std::vector<double>> counts(
-      kx, std::vector<double>(ky, 0.0));
-  for (std::size_t i = 0; i < xv.size(); ++i) counts[xv[i]][yv[i]] += 1.0;
+  CDI_ASSIGN_OR_RETURN(const CrossTab tab, CrossTabulate(x, y, nullptr));
+  if (tab.rows < 2) return Status::FailedPrecondition("too few rows");
   IndependenceResult r;
-  double dof = 0;
-  TableChiSquare(counts, &r.statistic, &dof, &r.strength);
-  r.p_value = dof > 0 ? ChiSquareSf(r.statistic, dof) : 1.0;
+  // A constant variable is trivially independent of anything.
+  if (tab.kx < 2 || tab.ky < 2) return r;
+  r.statistic = tab.statistic;
+  r.strength = tab.cramers_v;
+  r.p_value = ChiSquareSf(r.statistic, tab.dof);
   return r;
 }
 
@@ -128,23 +167,11 @@ Result<IndependenceResult> ConditionalChiSquare(
   double strength_num = 0, strength_den = 0;
   for (const auto& [key, rows] : strata) {
     if (rows.size() < min_stratum) continue;
-    std::vector<int> xs, ys;
-    for (std::size_t i : rows) {
-      xs.push_back(x[i]);
-      ys.push_back(y[i]);
-    }
-    int kx = 0, ky = 0;
-    xs = Densify(xs, &kx);
-    ys = Densify(ys, &ky);
-    if (kx < 2 || ky < 2) continue;
-    std::vector<std::vector<double>> counts(kx,
-                                            std::vector<double>(ky, 0.0));
-    for (std::size_t i = 0; i < xs.size(); ++i) counts[xs[i]][ys[i]] += 1.0;
-    double stat = 0, dof = 0, v = 0;
-    TableChiSquare(counts, &stat, &dof, &v);
-    total_stat += stat;
-    total_dof += dof;
-    strength_num += v * static_cast<double>(rows.size());
+    CDI_ASSIGN_OR_RETURN(const CrossTab tab, CrossTabulate(x, y, &rows));
+    if (tab.kx < 2 || tab.ky < 2) continue;
+    total_stat += tab.statistic;
+    total_dof += tab.dof;
+    strength_num += tab.cramers_v * static_cast<double>(rows.size());
     strength_den += static_cast<double>(rows.size());
   }
   IndependenceResult r;
@@ -178,11 +205,26 @@ double DiscreteMutualInformation(const std::vector<int>& x,
 }
 
 std::vector<int> QuantileBin(DoubleSpan x, int bins) {
+  return QuantileBin(x, RankOrder(x), bins);
+}
+
+std::vector<int> QuantileBin(DoubleSpan x,
+                             const std::vector<std::size_t>& order,
+                             int bins) {
+  std::vector<int> out(x.size(), -1);
+  if (order.empty()) return out;
+  // Quantile's linear interpolation between order statistics, read off
+  // the presorted order instead of a sorted copy per edge.
+  const double last = static_cast<double>(order.size() - 1);
   std::vector<double> edges;
   for (int b = 1; b < bins; ++b) {
-    edges.push_back(Quantile(x, static_cast<double>(b) / bins));
+    const double pos =
+        std::clamp(static_cast<double>(b) / bins, 0.0, 1.0) * last;
+    const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
+    const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
+    const double frac = pos - static_cast<double>(lo);
+    edges.push_back(x[order[lo]] * (1.0 - frac) + x[order[hi]] * frac);
   }
-  std::vector<int> out(x.size(), -1);
   for (std::size_t i = 0; i < x.size(); ++i) {
     if (std::isnan(x[i])) continue;
     int code = 0;

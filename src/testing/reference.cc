@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
 #include <unordered_map>
 
 #include "common/string_util.h"
 #include "stats/correlation.h"
 #include "stats/descriptive.h"
+#include "stats/distributions.h"
 #include "stats/linalg.h"
 
 namespace cdi::testing {
@@ -37,6 +40,158 @@ Result<double> ReferencePartialCorrelation(
     return std::clamp(b / den, -1.0, 1.0);
   }
   return stats::PartialCorrelationPrecisionFallback(corr, i, j, given);
+}
+
+namespace {
+
+/// Maps arbitrary codes to a dense 0..k-1 range; -1 stays -1.
+std::vector<int> Densify(const std::vector<int>& x, int* cardinality) {
+  std::map<int, int> remap;
+  std::vector<int> out(x.size(), -1);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i] < 0) continue;
+    auto [it, _] = remap.emplace(x[i], static_cast<int>(remap.size()));
+    out[i] = it->second;
+  }
+  *cardinality = static_cast<int>(remap.size());
+  return out;
+}
+
+/// Chi-square statistic and dof of an r x c contingency table.
+void TableChiSquare(const std::vector<std::vector<double>>& counts,
+                    double* stat, double* dof, double* cramers_v) {
+  const std::size_t r = counts.size();
+  const std::size_t c = r == 0 ? 0 : counts[0].size();
+  std::vector<double> row_sum(r, 0.0), col_sum(c, 0.0);
+  double total = 0;
+  for (std::size_t i = 0; i < r; ++i) {
+    for (std::size_t j = 0; j < c; ++j) {
+      row_sum[i] += counts[i][j];
+      col_sum[j] += counts[i][j];
+      total += counts[i][j];
+    }
+  }
+  *stat = 0;
+  if (total <= 0) {
+    *dof = 0;
+    *cramers_v = 0;
+    return;
+  }
+  std::size_t nonzero_rows = 0, nonzero_cols = 0;
+  for (double s : row_sum) nonzero_rows += s > 0 ? 1 : 0;
+  for (double s : col_sum) nonzero_cols += s > 0 ? 1 : 0;
+  for (std::size_t i = 0; i < r; ++i) {
+    for (std::size_t j = 0; j < c; ++j) {
+      const double expected = row_sum[i] * col_sum[j] / total;
+      if (expected > 0) {
+        const double d = counts[i][j] - expected;
+        *stat += d * d / expected;
+      }
+    }
+  }
+  *dof = nonzero_rows >= 1 && nonzero_cols >= 1
+             ? static_cast<double>((nonzero_rows - 1) * (nonzero_cols - 1))
+             : 0.0;
+  const double k = static_cast<double>(std::min(nonzero_rows, nonzero_cols));
+  *cramers_v =
+      (k > 1 && total > 0) ? std::sqrt(*stat / (total * (k - 1.0))) : 0.0;
+}
+
+/// TableChiSquare of x against y after densifying both; false when either
+/// side has fewer than two distinct codes.
+bool DenseChiSquare(std::vector<int> x, std::vector<int> y, double* stat,
+                    double* dof, double* cramers_v) {
+  int kx = 0, ky = 0;
+  x = Densify(x, &kx);
+  y = Densify(y, &ky);
+  if (kx < 2 || ky < 2) return false;
+  std::vector<std::vector<double>> counts(kx, std::vector<double>(ky, 0.0));
+  for (std::size_t i = 0; i < x.size(); ++i) counts[x[i]][y[i]] += 1.0;
+  TableChiSquare(counts, stat, dof, cramers_v);
+  return true;
+}
+
+}  // namespace
+
+Result<stats::IndependenceResult> ReferenceChiSquareIndependence(
+    const std::vector<int>& x, const std::vector<int>& y) {
+  if (x.size() != y.size()) return Status::InvalidArgument("size mismatch");
+  std::vector<int> xv, yv;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i] < 0 || y[i] < 0) continue;
+    xv.push_back(x[i]);
+    yv.push_back(y[i]);
+  }
+  if (xv.size() < 2) return Status::FailedPrecondition("too few rows");
+  stats::IndependenceResult r;
+  double dof = 0;
+  if (!DenseChiSquare(xv, yv, &r.statistic, &dof, &r.strength)) return r;
+  r.p_value = dof > 0 ? stats::ChiSquareSf(r.statistic, dof) : 1.0;
+  return r;
+}
+
+Result<stats::IndependenceResult> ReferenceConditionalChiSquare(
+    const std::vector<int>& x, const std::vector<int>& y,
+    const std::vector<std::vector<int>>& z, std::size_t min_stratum) {
+  if (z.empty()) return ReferenceChiSquareIndependence(x, y);
+  if (x.size() != y.size()) return Status::InvalidArgument("size mismatch");
+  for (const auto& zc : z) {
+    if (zc.size() != x.size()) {
+      return Status::InvalidArgument("conditioning size mismatch");
+    }
+  }
+  std::unordered_map<std::string, std::vector<std::size_t>> strata;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i] < 0 || y[i] < 0) continue;
+    bool missing = false;
+    std::string key;
+    for (const auto& zc : z) {
+      if (zc[i] < 0) {
+        missing = true;
+        break;
+      }
+      key += std::to_string(zc[i]) + ",";
+    }
+    if (!missing) strata[key].push_back(i);
+  }
+  double total_stat = 0, total_dof = 0;
+  double strength_num = 0, strength_den = 0;
+  for (const auto& [key, rows] : strata) {
+    if (rows.size() < min_stratum) continue;
+    std::vector<int> xs, ys;
+    for (std::size_t i : rows) {
+      xs.push_back(x[i]);
+      ys.push_back(y[i]);
+    }
+    double stat = 0, dof = 0, v = 0;
+    if (!DenseChiSquare(xs, ys, &stat, &dof, &v)) continue;
+    total_stat += stat;
+    total_dof += dof;
+    strength_num += v * static_cast<double>(rows.size());
+    strength_den += static_cast<double>(rows.size());
+  }
+  stats::IndependenceResult r;
+  r.statistic = total_stat;
+  r.p_value = total_dof > 0 ? stats::ChiSquareSf(total_stat, total_dof) : 1.0;
+  r.strength = strength_den > 0 ? strength_num / strength_den : 0.0;
+  return r;
+}
+
+std::vector<int> ReferenceQuantileBin(DoubleSpan x, int bins) {
+  std::vector<double> edges;
+  for (int b = 1; b < bins; ++b) {
+    edges.push_back(stats::Quantile(x, static_cast<double>(b) / bins));
+  }
+  std::vector<int> out(x.size(), -1);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (std::isnan(x[i])) continue;
+    int code = 0;
+    for (double e : edges) {
+      if (x[i] > e) ++code;
+    }
+    out[i] = code;
+  }
+  return out;
 }
 
 namespace {

@@ -7,6 +7,7 @@
 #include "common/span.h"
 #include "common/status.h"
 #include "knowledge/data_lake.h"
+#include "stats/independence.h"
 #include "stats/matrix.h"
 
 namespace cdi::testing {
@@ -18,6 +19,21 @@ namespace cdi::testing {
 Result<double> ReferencePartialCorrelation(
     const stats::Matrix& corr, std::size_t i, std::size_t j,
     const std::vector<std::size_t>& given);
+
+/// The chi-square kernels as they were before the flat count table: codes
+/// densified through a std::map in first-appearance order, a
+/// vector-of-vectors table, and Quantile (a sorted copy) per bin edge.
+/// stats::ChiSquareIndependence, ConditionalChiSquare and both QuantileBin
+/// forms must agree with them to the bit: statistic, p-value, strength
+/// and every code.
+Result<stats::IndependenceResult> ReferenceChiSquareIndependence(
+    const std::vector<int>& x, const std::vector<int>& y);
+
+Result<stats::IndependenceResult> ReferenceConditionalChiSquare(
+    const std::vector<int>& x, const std::vector<int>& y,
+    const std::vector<std::vector<int>>& z, std::size_t min_stratum = 5);
+
+std::vector<int> ReferenceQuantileBin(DoubleSpan x, int bins);
 
 /// Scan references for the data lake's indexed searches: each call
 /// normalizes and aggregates every lake row afresh, as the lake did before

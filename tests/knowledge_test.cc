@@ -168,6 +168,87 @@ TEST(KnowledgeGraphTest, ExtractPropertiesMatchesPerCellLookups) {
   EXPECT_GT(cells, 40u);
 }
 
+// A column's type is string if any extracted cell is a string, else
+// double, else int64, else bool, and the other cells are coerced to it;
+// only the extracted rows' cells decide.
+TEST(KnowledgeGraphTest, ExtractPropertiesCoercesMixedTypes) {
+  KnowledgeGraph kg;
+  kg.AddLiteral("a", "str_dbl", table::Value("x"));
+  kg.AddLiteral("b", "str_dbl", table::Value(2.5));
+  kg.AddLiteral("a", "bool_dbl", table::Value(true));
+  kg.AddLiteral("b", "bool_dbl", table::Value(0.25));
+  kg.AddLiteral("a", "bool_int", table::Value(true));
+  kg.AddLiteral("b", "bool_int", table::Value(int64_t{7}));
+  kg.AddLiteral("a", "only_null", table::Value());
+  kg.AddLiteral("c", "bool_int", table::Value(2.0));  // never extracted
+  auto t = kg.ExtractProperties({"a", "b", "zz"}, "key", false, nullptr);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->num_cols(), 5u);
+  EXPECT_EQ(t->ColumnAt(0).name(), "key");
+  EXPECT_EQ((*t->GetColumn("str_dbl"))->type(), table::DataType::kString);
+  EXPECT_EQ(t->GetCell(0, "str_dbl")->as_string(), "x");
+  EXPECT_EQ(t->GetCell(1, "str_dbl")->as_string(), "2.5");
+  EXPECT_EQ((*t->GetColumn("bool_dbl"))->type(), table::DataType::kDouble);
+  EXPECT_EQ(t->GetCell(0, "bool_dbl")->as_double(), 1.0);
+  EXPECT_EQ(t->GetCell(1, "bool_dbl")->as_double(), 0.25);
+  EXPECT_EQ((*t->GetColumn("bool_int"))->type(), table::DataType::kInt64);
+  EXPECT_EQ(t->GetCell(0, "bool_int")->as_int64(), 1);
+  EXPECT_EQ(t->GetCell(1, "bool_int")->as_int64(), 7);
+  EXPECT_EQ((*t->GetColumn("only_null"))->type(), table::DataType::kString);
+  EXPECT_TRUE(t->GetCell(0, "only_null")->is_null());
+  for (const char* col : {"str_dbl", "bool_dbl", "bool_int"}) {
+    EXPECT_TRUE(t->GetCell(2, col)->is_null()) << col;  // unlinkable key
+  }
+  // Without a key name there is no key column.
+  auto bare = kg.ExtractProperties({"a"}, "", false, nullptr);
+  ASSERT_TRUE(bare.ok());
+  EXPECT_FALSE(bare->HasColumn(""));
+  EXPECT_EQ(bare->ColumnAt(0).name(), "bool_dbl");
+}
+
+// The index is kept by the mutators, so literals, links and aliases added
+// after an extraction, and literals a link target gains after its link,
+// show up in the next extraction.
+TEST(KnowledgeGraphTest, ExtractPropertiesSeesLaterMutations) {
+  KnowledgeGraph kg = SmallKg();
+  const std::vector<std::string> keys = {"MA", "FL", "Texas", "Lone Star"};
+  auto before = kg.ExtractProperties(keys, "state", true, nullptr);
+  ASSERT_TRUE(before.ok());
+  EXPECT_FALSE(before->HasColumn("governor_party"));
+  EXPECT_FALSE(before->HasColumn("area"));
+  EXPECT_TRUE(before->GetCell(2, "avg_temp")->is_null());
+
+  kg.AddLiteral("Maura Healey", "party", table::Value("D"));  // link target
+  kg.AddLink("Florida", "governor", "Ron DeSantis");  // target has nothing yet
+  kg.AddLiteral("Texas", "avg_temp", table::Value(64.8));  // new entity
+  kg.AddLiteral("Florida", "area", table::Value(int64_t{65758}));  // new prop
+  kg.AddLiteral("Massachusetts", "avg_temp", table::Value(48.5));  // overwrite
+  kg.mutable_linker().AddAlias("Texas", "Lone Star");
+  auto mid = kg.ExtractProperties(keys, "state", true, nullptr);
+  ASSERT_TRUE(mid.ok());
+  EXPECT_EQ(mid->GetCell(0, "governor_party")->as_string(), "D");
+  EXPECT_TRUE(mid->GetCell(1, "governor_party")->is_null());
+  EXPECT_DOUBLE_EQ(mid->GetCell(0, "avg_temp")->as_double(), 48.5);
+  EXPECT_DOUBLE_EQ(mid->GetCell(2, "avg_temp")->as_double(), 64.8);
+  EXPECT_DOUBLE_EQ(mid->GetCell(3, "avg_temp")->as_double(), 64.8);
+  EXPECT_EQ(mid->GetCell(1, "area")->as_int64(), 65758);
+  EXPECT_TRUE(mid->GetCell(0, "area")->is_null());
+  EXPECT_FALSE(kg.HasEntity("Ron DeSantis"));  // a bare target is no entity
+
+  // The target gains literals after the link was added.
+  kg.AddLiteral("Ron DeSantis", "tenure_years", table::Value(6.0));
+  auto after = kg.ExtractProperties(keys, "state", true, nullptr);
+  ASSERT_TRUE(after.ok());
+  EXPECT_DOUBLE_EQ(after->GetCell(0, "governor_tenure_years")->as_double(),
+                   2.0);
+  EXPECT_DOUBLE_EQ(after->GetCell(1, "governor_tenure_years")->as_double(),
+                   6.0);
+  EXPECT_TRUE(kg.HasEntity("Ron DeSantis"));
+  EXPECT_EQ(*kg.GetLink("Florida", "governor"), "Ron DeSantis");
+  EXPECT_EQ(kg.LiteralProperties("Florida"),
+            (std::vector<std::string>{"area", "avg_temp"}));
+}
+
 TEST(KnowledgeGraphTest, LatencyCharged) {
   KnowledgeGraph kg = SmallKg();
   LatencyMeter meter;

@@ -28,7 +28,8 @@ TEST(SingleFlightTest, FirstAcquireLeadsLaterOnesFollowThenHit) {
   ASSERT_EQ(follow.role, Role::kFollow);
   EXPECT_EQ(follow.flight, lead.flight);
   follow.flight->followers.push_back("f1");
-  EXPECT_EQ(cache.Find(1), nullptr);  // pending is not a value
+  // Pending is not a value: a later claim still follows.
+  EXPECT_EQ(cache.Acquire(1, "s", 1).role, Role::kFollow);
 
   const auto followers = cache.Publish(lead.flight, 42);
   EXPECT_EQ(followers, std::vector<std::string>{"f1"});
@@ -36,8 +37,6 @@ TEST(SingleFlightTest, FirstAcquireLeadsLaterOnesFollowThenHit) {
   EXPECT_EQ(hit.role, Role::kHit);
   EXPECT_EQ(hit.value, 42);
   EXPECT_EQ(hit.flight, nullptr);
-  ASSERT_NE(cache.Find(1), nullptr);
-  EXPECT_EQ(*cache.Find(1), 42);
 }
 
 TEST(SingleFlightTest, FailuresAreNeverCachedAndTheNextClaimReLeads) {
@@ -53,7 +52,6 @@ TEST(SingleFlightTest, FailuresAreNeverCachedAndTheNextClaimReLeads) {
   ASSERT_TRUE(lead.flight->outcome.has_value());
   EXPECT_EQ(lead.flight->outcome->status().code(), StatusCode::kInternal);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Find(7), nullptr);
   EXPECT_EQ(cache.Acquire(7, "s", 1).role, Role::kLead);
   EXPECT_EQ(stale.load(), 0u);  // a failure is not a stale eviction
 }
@@ -92,9 +90,9 @@ TEST(SingleFlightTest, SweepAndDropNeverRemovePendingEntries) {
 
   cache.Sweep("s", 2);
   EXPECT_EQ(stale.load(), 1u);  // only key 1: done, scope s, epoch < 2
-  EXPECT_EQ(cache.Find(1), nullptr);
-  EXPECT_NE(cache.Find(2), nullptr);
-  EXPECT_NE(cache.Find(4), nullptr);
+  EXPECT_EQ(cache.size(), 3u);  // key 1 is gone; 2, 3 and 4 remain
+  EXPECT_EQ(cache.Acquire(2, "t", 1).value, 20);
+  EXPECT_EQ(cache.Acquire(4, "s", 2).value, 40);
   EXPECT_EQ(cache.Acquire(3, "s", 1).role, Role::kFollow);
 
   EXPECT_EQ(cache.DropDone(), 2u);
@@ -126,7 +124,9 @@ TEST(SingleFlightTest, BlockedFollowerReturnsAtItsOwnDeadline) {
   EXPECT_FALSE(lead->outcome.has_value());
   EXPECT_EQ(cache.size(), 1u);
   cache.Publish(lead, 9);
-  EXPECT_EQ(*cache.Find(1), 9);
+  const auto hit = cache.Acquire(1);
+  EXPECT_EQ(hit.role, Role::kHit);
+  EXPECT_EQ(hit.value, 9);
 }
 
 TEST(SingleFlightTest, BlockedFollowersWakeWithThePublishedOutcome) {

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -758,6 +764,147 @@ TEST(IndependenceTest, BinnedChiSquareSeesQuadraticRelation) {
   auto r = ChiSquareIndependence(QuantileBin(x, 3), QuantileBin(y, 3));
   ASSERT_TRUE(r.ok());
   EXPECT_LT(r->p_value, 1e-6);
+}
+
+void ExpectSameChiSquare(const Result<IndependenceResult>& got,
+                         const Result<IndependenceResult>& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.ok(), want.ok()) << what;
+  if (!got.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << what;
+    return;
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(got->statistic),
+            std::bit_cast<uint64_t>(want->statistic)) << what;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got->p_value),
+            std::bit_cast<uint64_t>(want->p_value)) << what;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got->strength),
+            std::bit_cast<uint64_t>(want->strength)) << what;
+}
+
+/// Codes in [0, range) with `missing` of them -1, drawn from `rng`.
+std::vector<int> RandomCodes(Rng& rng, std::size_t n, int range,
+                             double missing) {
+  std::vector<int> out(n);
+  for (auto& c : out) {
+    c = rng.Bernoulli(missing)
+            ? -1
+            : static_cast<int>(rng.UniformInt(static_cast<uint64_t>(range)));
+  }
+  return out;
+}
+
+// The flat-table kernel against the std::map/vector-of-vectors one it
+// replaced: statistic, p-value and strength bit for bit, on missing codes,
+// constant and near-empty inputs, gapped and wide code ranges (the wide
+// ones take the heap-sized table) and dependent pairs.
+TEST(IndependenceTest, ChiSquareMatchesReferenceBitwise) {
+  Rng rng(61);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.UniformInt(uint64_t{120});
+    const int rx = 1 + static_cast<int>(rng.UniformInt(uint64_t{24}));
+    const int ry = 1 + static_cast<int>(rng.UniformInt(uint64_t{6}));
+    const double missing = trial % 3 == 0 ? 0.0 : 0.2;
+    std::vector<int> x = RandomCodes(rng, n, rx, missing);
+    std::vector<int> y = RandomCodes(rng, n, ry, missing);
+    if (trial % 4 == 1) {  // dependent: y follows x
+      for (std::size_t i = 0; i < n; ++i) {
+        if (x[i] >= 0 && rng.Bernoulli(0.7)) y[i] = x[i] % ry;
+      }
+    }
+    if (trial % 5 == 2) {  // gapped codes: only even values
+      for (auto& c : x) c = c < 0 ? c : 2 * c;
+    }
+    const std::string what = "trial " + std::to_string(trial);
+    ExpectSameChiSquare(ChiSquareIndependence(x, y),
+                        testing::ReferenceChiSquareIndependence(x, y), what);
+    const std::vector<int> z = RandomCodes(rng, n, 3, 0.1);
+    ExpectSameChiSquare(
+        ConditionalChiSquare(x, y, {z}, 2),
+        testing::ReferenceConditionalChiSquare(x, y, {z}, 2), what + " | z");
+  }
+  const std::vector<std::pair<std::vector<int>, std::vector<int>>> edges = {
+      {{}, {}},                                   // empty
+      {{0}, {1}},                                 // one row
+      {{-1, 0, -1}, {1, -1, -1}},                 // no complete row
+      {{0, 1, -1}, {-1, 1, 0}},                   // one complete row
+      {{2, 2, 2, 2}, {0, 1, 0, 1}},               // constant x
+      {{0, 1, 0, 1}, {5, 5, 5, 5}},               // constant y
+      {{0, 2, 0, 2, 2}, {1, 0, 1, 1, 0}},         // gapped {0, 2}
+      {{3, 7, 100, 3, 7}, {0, 1, 2, 2, 1}},       // wide, sparse codes
+  };
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    const auto& [x, y] = edges[k];
+    ExpectSameChiSquare(ChiSquareIndependence(x, y),
+                        testing::ReferenceChiSquareIndependence(x, y),
+                        "edge " + std::to_string(k));
+  }
+  EXPECT_EQ(ChiSquareIndependence({0, 1 << 20}, {0, 1}).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// The statistic is summed in first-appearance order of the codes, so each
+// of the 6 x 6 orders in which three x codes and three y codes first
+// appear must give the reference's bits.
+TEST(IndependenceTest, ChiSquareFirstAppearanceOrdersMatchReference) {
+  Rng rng(67);
+  std::vector<int> body_x = RandomCodes(rng, 60, 3, 0.1);
+  std::vector<int> body_y = RandomCodes(rng, 60, 3, 0.1);
+  for (std::size_t i = 0; i < body_x.size(); ++i) {
+    if (body_x[i] >= 0 && rng.Bernoulli(0.5)) body_y[i] = body_x[i];
+  }
+  std::vector<int> px = {0, 1, 2};
+  do {
+    std::vector<int> py = {0, 1, 2};
+    do {
+      std::vector<int> x = px, y = py;
+      x.insert(x.end(), body_x.begin(), body_x.end());
+      y.insert(y.end(), body_y.begin(), body_y.end());
+      ExpectSameChiSquare(ChiSquareIndependence(x, y),
+                          testing::ReferenceChiSquareIndependence(x, y),
+                          "x order " + std::to_string(px[0]) +
+                              std::to_string(px[1]) + std::to_string(px[2]) +
+                              " y order " + std::to_string(py[0]) +
+                              std::to_string(py[1]) + std::to_string(py[2]));
+    } while (std::next_permutation(py.begin(), py.end()));
+  } while (std::next_permutation(px.begin(), px.end()));
+}
+
+// Both QuantileBin forms against Quantile-per-edge binning, every code
+// equal, on NaN, ties, all-equal, signed-zero, infinite, all-NaN and empty
+// inputs.
+TEST(IndependenceTest, QuantileBinMatchesReference) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> inputs = {
+      {},
+      {nan, nan, nan},
+      {4.0},
+      {2.0, 2.0, 2.0, 2.0},
+      {1.0, nan, 1.0, 2.0, 2.0, nan, 3.0},
+      {-0.0, 0.0, -0.0, 0.0, 1.0, -1.0},
+      {-inf, 1.0, inf, nan, 1.0, 2.0},
+  };
+  Rng rng(71);
+  for (int t = 0; t < 40; ++t) {
+    std::vector<double> x(1 + rng.UniformInt(uint64_t{90}));
+    for (auto& v : x) {
+      v = rng.Bernoulli(0.1) ? nan
+                             : static_cast<double>(rng.UniformInt(uint64_t{7}));
+      if (t % 2 == 1 && !std::isnan(v)) v = rng.Normal();
+    }
+    inputs.push_back(std::move(x));
+  }
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    const auto& x = inputs[k];
+    for (int bins = 1; bins <= 8; ++bins) {
+      const std::vector<int> want = testing::ReferenceQuantileBin(x, bins);
+      const std::string what =
+          "input " + std::to_string(k) + " bins " + std::to_string(bins);
+      EXPECT_EQ(QuantileBin(x, bins), want) << what;
+      EXPECT_EQ(QuantileBin(x, RankOrder(x), bins), want) << what;
+    }
+  }
 }
 
 // -------------------------------------------------- SufficientStats

@@ -9,6 +9,9 @@
 //               [--scenarios N [--skew zipf|uniform] [--zipf-s S]
 //                [--registry-shards N] [--memory-budget-kb K]]
 //
+// --entities takes a plain non-negative integer of at most 100000;
+// anything else is a usage error (exit 2).
+//
 // Spawns an in-process QueryServer over one registered scenario, derives a
 // seeded mix of K distinct (exposure, outcome) queries from the
 // scenario's numeric attributes, warms the cache with one pass over the
@@ -146,7 +149,13 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     if (flag == "--scenario" && (v = next())) {
       args->scenario = v;
     } else if (flag == "--entities" && (v = next())) {
-      args->entities = static_cast<std::size_t>(std::atoll(v));
+      auto entities = cdi::serve::ParseEntityCount(v);
+      if (!entities.ok()) {
+        std::fprintf(stderr, "--entities: %s\n",
+                     entities.status().message().c_str());
+        return false;
+      }
+      args->entities = *entities;
     } else if (flag == "--clients" && (v = next())) {
       args->clients = std::atoi(v);
     } else if (flag == "--requests" && (v = next())) {

@@ -5,6 +5,9 @@
 //             [--entities N] [--scenarios covid,flights]
 //             [--registry-shards N] [--memory-budget-kb K]
 //
+// --entities takes a plain non-negative integer of at most 100000 (0 keeps
+// each scenario's default); anything else is a usage error (exit 2).
+//
 // Preloads the named benchmark scenarios (input table, knowledge graph,
 // data lake, oracle, topics, shared sufficient statistics) into a
 // ScenarioRegistry, then answers causal queries from stdin, one command
@@ -117,7 +120,13 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--pipeline-threads" && (v = next())) {
       args->pipeline_threads = std::atoi(v);
     } else if (flag == "--entities" && (v = next())) {
-      args->entities = static_cast<std::size_t>(std::atoll(v));
+      auto entities = cdi::serve::ParseEntityCount(v);
+      if (!entities.ok()) {
+        std::fprintf(stderr, "--entities: %s\n",
+                     entities.status().message().c_str());
+        return false;
+      }
+      args->entities = *entities;
     } else if (flag == "--scenarios" && (v = next())) {
       args->scenarios = cdi::Split(v, ',');
     } else if (flag == "--registry-shards" && (v = next())) {
