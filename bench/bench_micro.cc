@@ -557,6 +557,50 @@ BENCHMARK(BM_KnowledgeExtract)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
+// The Data Organizer alone (dedup, FD screen, winsorization, missingness
+// and IPW) on the same three inputs as BM_KnowledgeExtract: FLIGHTS (0),
+// COVID (1) and the 200-entity grid cell (2). The extractor's output is
+// built once, outside the timed loop.
+void BM_DataOrganize(benchmark::State& state) {
+  cdi::datagen::ScenarioSpec spec;
+  if (state.range(0) == 2) {
+    cdi::datagen::GridCell cell;
+    cell.nonlinear = true;
+    cell.attrs_per_cluster = 2;
+    cell.mnar_level = 1;
+    cell.oracle_noise = 2;
+    spec = cdi::datagen::GridScenarioSpec(cell, 200);
+  } else {
+    spec = state.range(0) == 1 ? cdi::datagen::CovidSpec()
+                               : cdi::datagen::FlightsSpec();
+  }
+  auto scenario = cdi::datagen::BuildScenario(spec);
+  CDI_CHECK(scenario.ok());
+  const auto& s = **scenario;
+  const auto options = cdi::core::DefaultEvaluationOptions(s);
+  const cdi::core::KnowledgeExtractor extractor(&s.kg, &s.lake,
+                                                options.extractor);
+  auto extraction = extractor.Extract(s.input_table, spec.entity_column,
+                                      s.exposure_attribute,
+                                      s.outcome_attribute);
+  CDI_CHECK(extraction.ok());
+  const cdi::core::DataOrganizer organizer(options.organizer);
+  for (auto _ : state) {
+    auto organized =
+        organizer.Organize(extraction->augmented, spec.entity_column,
+                           s.exposure_attribute, s.outcome_attribute);
+    CDI_CHECK(organized.ok());
+    benchmark::DoNotOptimize(organized->row_weights.data());
+  }
+  const char* labels[] = {"flights", "covid", "grid200"};
+  state.SetLabel(labels[state.range(0)]);
+}
+BENCHMARK(BM_DataOrganize)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_DSeparation(benchmark::State& state) {
   Rng rng(17);
   auto g = cdi::graph::RandomDag(static_cast<std::size_t>(state.range(0)),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "common/span.h"
@@ -30,18 +31,86 @@ double IndicatorAssociationPValue(cdi::DoubleSpan indicator,
   return stats::StudentTTwoSidedPValue(t, dof);
 }
 
+/// Where stats::Quantile(x, 0.5) reads a median among `n` sorted values:
+/// the k-th smallest for k = lo and k = hi, blended by `frac`.
+struct MedianPosition {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+
+MedianPosition MedianAt(std::size_t n) {
+  const double pos = 0.5 * static_cast<double>(n - 1);
+  const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
+  const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
+  return {lo, hi, pos - static_cast<double>(lo)};
+}
+
+/// A numeric column's rank order and, when it has no NaN, its average
+/// ranks. Two NaN-free columns' Spearman is the Pearson correlation of
+/// their ranks, so such a column is ranked once, not once per pair.
+struct Ranking {
+  std::vector<std::size_t> order;
+  std::vector<double> ranks;  // empty when the column has a NaN
+};
+
+Ranking Rank(cdi::DoubleSpan vals) {
+  Ranking r{stats::RankOrder(vals), {}};
+  if (r.order.size() == vals.size()) {
+    r.ranks = stats::RanksFromOrder(vals, r.order);
+  }
+  return r;
+}
+
+/// stats::SpearmanCorrelation(x, y) bit for bit.
+double Spearman(cdi::DoubleSpan x, const Ranking& xr, cdi::DoubleSpan y,
+                const Ranking& yr) {
+  if (!xr.ranks.empty() && !yr.ranks.empty()) {
+    return stats::PearsonCorrelation(xr.ranks, yr.ranks);
+  }
+  return stats::SpearmanFromOrders(x, xr.order, y, yr.order);
+}
+
+/// stats::Median(vals) bit for bit, read off `order` = RankOrder(vals)
+/// instead of a sorted copy.
+double MedianFromOrder(cdi::DoubleSpan vals,
+                       const std::vector<std::size_t>& order) {
+  if (order.empty()) return std::numeric_limits<double>::quiet_NaN();
+  const MedianPosition m = MedianAt(order.size());
+  return vals[order[m.lo]] * (1.0 - m.frac) + vals[order[m.hi]] * m.frac;
+}
+
+/// stats::Median(*values) bit for bit for NaN-free values, by selection
+/// instead of a sort. Reorders `values`.
+double MedianBySelection(std::vector<double>* values) {
+  if (values->empty()) return std::numeric_limits<double>::quiet_NaN();
+  const MedianPosition m = MedianAt(values->size());
+  const auto lo = values->begin() + static_cast<std::ptrdiff_t>(m.lo);
+  std::nth_element(values->begin(), lo, values->end());
+  const double v_lo = *lo;
+  const double v_hi =
+      m.hi == m.lo ? v_lo : *std::min_element(lo + 1, values->end());
+  return v_lo * (1.0 - m.frac) + v_hi * m.frac;
+}
+
 }  // namespace
 
 Result<bool> HoldsFd(const table::Table& t, const std::string& lhs,
                      const std::string& rhs) {
   CDI_ASSIGN_OR_RETURN(const table::Column* l, t.GetColumn(lhs));
   CDI_ASSIGN_OR_RETURN(const table::Column* r, t.GetColumn(rhs));
+  // Exact typed keys, never a decimal rendering: two doubles that agree to
+  // ten significant digits are still two values. A null rhs keys as its
+  // own tag.
   std::unordered_map<std::string, std::string> map;
+  std::string lv, rv;
   for (std::size_t row = 0; row < t.num_rows(); ++row) {
     if (l->IsNull(row)) continue;
-    const std::string lv = l->Get(row).ToString();
-    const std::string rv = r->IsNull(row) ? "\x01<null>" : r->Get(row).ToString();
-    auto [it, inserted] = map.emplace(lv, rv);
+    lv.clear();
+    rv.clear();
+    l->AppendKeyBytes(row, /*column_local=*/true, &lv);
+    r->AppendKeyBytes(row, /*column_local=*/true, &rv);
+    auto [it, inserted] = map.try_emplace(lv, rv);
     if (!inserted && it->second != rv) return false;
   }
   return true;
@@ -63,27 +132,36 @@ Result<OrganizerResult> DataOrganizer::Organize(
   // see the pre-winsorization exposure/outcome values.
   const std::vector<double> t_vals = tcol->ToDoubles();
   const std::vector<double> o_vals = ocol->ToDoubles();
+  // Every numeric column is sorted once: its rank order feeds both the
+  // Spearman screen of step 2 and the median of step 3. rankings[i]
+  // belongs to column i of `t` before any drop.
+  const Ranking t_rank = Rank(t_vals);
+  const Ranking o_rank = Rank(o_vals);
+  std::vector<Ranking> rankings(t.num_cols());
+  std::vector<bool> dropped(t.num_cols(), false);
 
   // ---- 2. Functional dependencies with exposure/outcome. --------------------
-  for (const auto& name : t.ColumnNames()) {
+  for (std::size_t i = 0; i < t.num_cols(); ++i) {
+    const table::Column& col = t.ColumnAt(i);
+    const std::string& name = col.name();
     if (name == exposure || name == outcome || name == entity_column) continue;
-    CDI_ASSIGN_OR_RETURN(const table::Column* col, t.GetColumn(name));
     bool drop = false;
-    if (table::IsNumeric(col->type())) {
+    if (table::IsNumeric(col.type())) {
       // Spearman catches monotone-but-nonlinear deterministic relations
       // (e.g. a calling code that is a monotone function of the exposure).
-      const cdi::DoubleSpan vals = col->View();
-      auto assoc = [](cdi::DoubleSpan a, cdi::DoubleSpan b) {
-        const double rp = stats::PearsonCorrelation(a, b);
-        const double rs = stats::SpearmanCorrelation(a, b);
+      const cdi::DoubleSpan vals = col.View();
+      rankings[i] = Rank(vals);
+      auto assoc = [&](cdi::DoubleSpan other, const Ranking& other_rank) {
+        const double rp = stats::PearsonCorrelation(vals, other);
+        const double rs = Spearman(vals, rankings[i], other, other_rank);
         return std::max(std::isnan(rp) ? 0.0 : std::fabs(rp),
                         std::isnan(rs) ? 0.0 : std::fabs(rs));
       };
-      if (assoc(vals, t_vals) >= options_.fd_correlation_threshold ||
-          assoc(vals, o_vals) >= options_.fd_correlation_threshold) {
+      if (assoc(t_vals, t_rank) >= options_.fd_correlation_threshold ||
+          assoc(o_vals, o_rank) >= options_.fd_correlation_threshold) {
         drop = true;
       }
-    } else if (col->type() == table::DataType::kString &&
+    } else if (col.type() == table::DataType::kString &&
                options_.drop_string_fds) {
       // A string attribute whose values pin down the exposure violates
       // strict positivity (conditioning on it fixes T).
@@ -92,6 +170,7 @@ Result<OrganizerResult> DataOrganizer::Organize(
     }
     if (drop) {
       result.dropped_fd_attributes.push_back(name);
+      dropped[i] = true;
     }
   }
   for (const auto& name : result.dropped_fd_attributes) {
@@ -100,21 +179,26 @@ Result<OrganizerResult> DataOrganizer::Organize(
 
   // ---- 3. Outlier winsorization (robust z via median/MAD). ------------------
   if (options_.outlier_robust_z > 0) {
-    for (const auto& name : t.ColumnNames()) {
+    std::vector<double> absdev;  // one buffer for every column's MAD
+    std::size_t j = 0;           // column i's index in `t` after the drops
+    for (std::size_t i = 0; i < rankings.size(); ++i) {
+      if (dropped[i]) continue;
+      table::Column& col = t.MutableColumnAt(j++);
+      const std::string& name = col.name();
       if (name == entity_column || name == exposure) continue;
-      CDI_ASSIGN_OR_RETURN(table::Column * col, t.MutableColumn(name));
-      if (!table::IsNumeric(col->type())) continue;
+      if (!table::IsNumeric(col.type())) continue;
       // A borrowed view is safe here: every read of row r happens before
       // the in-place Set of row r, and the median/MAD pass completes
-      // before any write.
-      const cdi::DoubleSpan vals = col->View();
-      const double med = stats::Median(vals);
-      std::vector<double> absdev;
-      absdev.reserve(vals.size());
+      // before any write. The rank order is still the column's: only
+      // other columns were written since step 2 ranked it.
+      const cdi::DoubleSpan vals = col.View();
+      const double med = MedianFromOrder(
+          vals, name == outcome ? o_rank.order : rankings[i].order);
+      absdev.clear();
       for (double v : vals) {
         if (!std::isnan(v)) absdev.push_back(std::fabs(v - med));
       }
-      const double mad = stats::Median(absdev);
+      const double mad = MedianBySelection(&absdev);
       const double scale = 1.4826 * mad;  // consistent with sigma for normals
       if (!(scale > 0)) continue;
       const double fence = options_.outlier_robust_z * scale;
@@ -122,10 +206,10 @@ Result<OrganizerResult> DataOrganizer::Organize(
       for (std::size_t r = 0; r < vals.size(); ++r) {
         if (std::isnan(vals[r])) continue;
         if (vals[r] > med + fence) {
-          CDI_RETURN_IF_ERROR(col->Set(r, table::Value(med + fence)));
+          CDI_RETURN_IF_ERROR(col.Set(r, table::Value(med + fence)));
           ++count;
         } else if (vals[r] < med - fence) {
-          CDI_RETURN_IF_ERROR(col->Set(r, table::Value(med - fence)));
+          CDI_RETURN_IF_ERROR(col.Set(r, table::Value(med - fence)));
           ++count;
         }
       }
@@ -137,18 +221,18 @@ Result<OrganizerResult> DataOrganizer::Organize(
   result.row_weights.assign(t.num_rows(), 1.0);
   bool any_bias = false;
   std::vector<double> complete_indicator(t.num_rows(), 1.0);
-  for (const auto& name : t.ColumnNames()) {
-    if (name == entity_column) continue;
-    CDI_ASSIGN_OR_RETURN(const table::Column* col, t.GetColumn(name));
-    const std::size_t nulls = col->NullCount();
-    if (nulls == 0) continue;
+  std::vector<double> indicator(t.num_rows());  // reused per attribute
+  for (std::size_t i = 0; i < t.num_cols(); ++i) {
+    const table::Column& col = t.ColumnAt(i);
+    if (col.name() == entity_column) continue;
+    if (col.NullCount() == 0) continue;
     MissingnessReport report;
-    report.attribute = name;
-    report.missing_fraction = col->NullFraction();
-    std::vector<double> indicator(t.num_rows());
+    report.attribute = col.name();
+    report.missing_fraction = col.NullFraction();
     for (std::size_t r = 0; r < t.num_rows(); ++r) {
-      indicator[r] = col->IsNull(r) ? 1.0 : 0.0;
-      if (col->IsNull(r)) complete_indicator[r] = 0.0;
+      const bool null = col.IsNull(r);
+      indicator[r] = null ? 1.0 : 0.0;
+      if (null) complete_indicator[r] = 0.0;
     }
     report.p_vs_exposure = IndicatorAssociationPValue(indicator, t_vals);
     report.p_vs_outcome = IndicatorAssociationPValue(indicator, o_vals);
@@ -164,10 +248,13 @@ Result<OrganizerResult> DataOrganizer::Organize(
     // exposure and outcome; IPW weight = 1 / P(complete) for complete rows.
     auto fit = stats::FitLogistic({t_vals, o_vals}, complete_indicator);
     if (fit.ok()) {
+      std::vector<double> features(2);
       for (std::size_t r = 0; r < t.num_rows(); ++r) {
         if (complete_indicator[r] < 0.5) continue;  // incomplete rows keep 1.0
         if (std::isnan(t_vals[r]) || std::isnan(o_vals[r])) continue;
-        const double p = fit->Predict({t_vals[r], o_vals[r]});
+        features[0] = t_vals[r];
+        features[1] = o_vals[r];
+        const double p = fit->Predict(features);
         const double w = 1.0 / std::max(p, 1e-3);
         result.row_weights[r] =
             std::clamp(w, 1.0, options_.max_ipw_weight);

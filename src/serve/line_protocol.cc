@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -56,19 +57,21 @@ void MixEdges(Fnv1a& h,
 
 }  // namespace
 
-Result<std::size_t> ParseEntityCount(const std::string& value) {
+Result<std::uint64_t> ParseBoundedCount(const std::string& what,
+                                        const std::string& value,
+                                        std::uint64_t ceiling) {
   unsigned long long v = 0;
   if (!ParseUnsigned(value, &v)) {
     return Status::InvalidArgument(
-        "bad entities value '" + value +
+        "bad " + what + " value '" + value +
         "' (expected a non-negative integer below 2^64)");
   }
-  if (v > kMaxGenerateEntities) {
-    return Status::InvalidArgument("entities=" + value +
+  if (v > ceiling) {
+    return Status::InvalidArgument(what + "=" + value +
                                    " exceeds the ceiling of " +
-                                   std::to_string(kMaxGenerateEntities));
+                                   std::to_string(ceiling));
   }
-  return static_cast<std::size_t>(v);
+  return static_cast<std::uint64_t>(v);
 }
 
 std::uint64_t ResultFingerprint(const core::PipelineResult& result) {
@@ -394,16 +397,13 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
         cmd.grid_cell = arg.substr(5);
       } else if (arg.rfind("entities=", 0) == 0) {
         CDI_ASSIGN_OR_RETURN(cmd.generate_entities,
-                             ParseEntityCount(arg.substr(9)));
+                             ParseBoundedCount("entities", arg.substr(9),
+                                               kMaxGenerateEntities));
       } else if (arg.rfind("seed=", 0) == 0) {
-        const std::string value = arg.substr(5);
-        unsigned long long v = 0;
-        if (!ParseUnsigned(value, &v)) {
-          return Status::InvalidArgument(
-              "bad seed value '" + value +
-              "' (expected a non-negative integer below 2^64)");
-        }
-        cmd.generate_seed = v;
+        CDI_ASSIGN_OR_RETURN(
+            cmd.generate_seed,
+            ParseBoundedCount("seed", arg.substr(5),
+                              std::numeric_limits<std::uint64_t>::max()));
       } else if (arg == "replace") {
         cmd.replace = true;
       } else {

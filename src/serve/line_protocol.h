@@ -121,11 +121,26 @@ struct ServerCommand {
 /// an allocation request a client can make the server die on.
 inline constexpr std::size_t kMaxGenerateEntities = 100000;
 
-/// Parses an entity count, as `generate entities=` and the `--entities`
-/// flags of `cdi_serve` and `cdi_loadgen` take it: a plain non-negative
-/// integer (digits only, no sign or fraction, no 64-bit overflow) at most
-/// kMaxGenerateEntities. kInvalidArgument naming the bad value otherwise.
-Result<std::size_t> ParseEntityCount(const std::string& value);
+/// Parses a count named `what`, as `generate entities=` / `seed=` and the
+/// count flags of `cdi_serve` and `cdi_loadgen` take it: a plain
+/// non-negative integer (digits only, no sign or fraction, no 64-bit
+/// overflow) at most `ceiling`. kInvalidArgument naming `what` and the bad
+/// value otherwise.
+Result<std::uint64_t> ParseBoundedCount(const std::string& what,
+                                        const std::string& value,
+                                        std::uint64_t ceiling);
+
+/// Ceilings of the size flags `cdi_serve` and `cdi_loadgen` parse with
+/// ParseBoundedCount (`--entities` takes kMaxGenerateEntities). Each flag
+/// sizes threads, queue slots, shards or a byte budget before anything is
+/// served, so a wrapped or absurd value is a usage error, never an
+/// allocation request.
+inline constexpr std::uint64_t kMaxThreadsFlag = 256;
+inline constexpr std::uint64_t kMaxQueueDepthFlag = 1u << 20;
+inline constexpr std::uint64_t kMaxRegistryShardsFlag = 1024;
+/// 2^40 KiB = 1 PiB; far below where the flag's * 1024 would wrap.
+inline constexpr std::uint64_t kMaxMemoryBudgetKbFlag = std::uint64_t{1}
+                                                        << 40;
 
 /// Parses one protocol line:
 ///   `query <scenario> <exposure> <outcome> [timeout=<seconds>]

@@ -196,6 +196,21 @@ std::vector<std::size_t> RankOrder(DoubleSpan x) {
 
 namespace {
 
+/// AverageRanks of v over `sorted` (rows ascending by v), written to
+/// `ranks` at each of those rows.
+void AssignAverageRanks(DoubleSpan v, const std::vector<std::size_t>& sorted,
+                        std::vector<double>* ranks) {
+  const std::size_t n = sorted.size();
+  std::size_t i = 0;
+  while (i < n) {
+    std::size_t j = i;
+    while (j + 1 < n && v[sorted[j + 1]] == v[sorted[i]]) ++j;
+    const double avg = 0.5 * (static_cast<double>(i) + static_cast<double>(j)) + 1.0;
+    for (std::size_t k = i; k <= j; ++k) (*ranks)[sorted[k]] = avg;
+    i = j + 1;
+  }
+}
+
 /// AverageRanks over the rows of `order` where `other` is not NaN, written
 /// to `ranks` at each such row.
 void AverageRanksFromOrder(DoubleSpan v, const std::vector<std::size_t>& order,
@@ -205,18 +220,17 @@ void AverageRanksFromOrder(DoubleSpan v, const std::vector<std::size_t>& order,
   for (std::size_t r : order) {
     if (!std::isnan(other[r])) kept.push_back(r);
   }
-  const std::size_t n = kept.size();
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && v[kept[j + 1]] == v[kept[i]]) ++j;
-    const double avg = 0.5 * (static_cast<double>(i) + static_cast<double>(j)) + 1.0;
-    for (std::size_t k = i; k <= j; ++k) (*ranks)[kept[k]] = avg;
-    i = j + 1;
-  }
+  AssignAverageRanks(v, kept, ranks);
 }
 
 }  // namespace
+
+std::vector<double> RanksFromOrder(DoubleSpan x,
+                                   const std::vector<std::size_t>& order) {
+  std::vector<double> ranks(x.size(), kNaN);
+  AssignAverageRanks(x, order, &ranks);
+  return ranks;
+}
 
 double SpearmanFromOrders(DoubleSpan x, const std::vector<std::size_t>& x_order,
                           DoubleSpan y, const std::vector<std::size_t>& y_order) {

@@ -63,6 +63,13 @@ std::vector<std::size_t> RankOrder(DoubleSpan x);
 double SpearmanFromOrders(DoubleSpan x, const std::vector<std::size_t>& x_order,
                           DoubleSpan y, const std::vector<std::size_t>& y_order);
 
+/// Average ranks (1-based, ties share their mean) of x's non-NaN rows, NaN
+/// at its NaN rows, given RankOrder(x). For two NaN-free columns
+/// PearsonCorrelation of their ranks is SpearmanFromOrders of the two, bit
+/// for bit, so a column ranked against many others is ranked once.
+std::vector<double> RanksFromOrder(DoubleSpan x,
+                                   const std::vector<std::size_t>& order);
+
 /// (x - mean) / stddev; NaN entries stay NaN. A constant vector maps to all
 /// zeros.
 std::vector<double> Standardize(DoubleSpan x);

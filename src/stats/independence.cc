@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 #include <string>
-#include <unordered_map>
 
 #include "stats/descriptive.h"
 #include "stats/distributions.h"
@@ -148,24 +147,30 @@ Result<IndependenceResult> ConditionalChiSquare(
       return Status::InvalidArgument("conditioning size mismatch");
     }
   }
-  // Stratify by the joint code of z.
-  std::unordered_map<std::string, std::vector<std::size_t>> strata;
+  // Stratify by the joint code of z. Strata get dense ids in
+  // first-appearance order and are summed in that order, so the total's
+  // bits depend on the data alone.
+  std::map<std::vector<int>, std::size_t> stratum_of;
+  std::vector<std::vector<std::size_t>> strata;
+  std::vector<int> key(z.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     if (x[i] < 0 || y[i] < 0) continue;
     bool missing = false;
-    std::string key;
-    for (const auto& zc : z) {
-      if (zc[i] < 0) {
+    for (std::size_t k = 0; k < z.size(); ++k) {
+      if (z[k][i] < 0) {
         missing = true;
         break;
       }
-      key += std::to_string(zc[i]) + ",";
+      key[k] = z[k][i];
     }
-    if (!missing) strata[key].push_back(i);
+    if (missing) continue;
+    const auto [it, inserted] = stratum_of.emplace(key, strata.size());
+    if (inserted) strata.emplace_back();
+    strata[it->second].push_back(i);
   }
   double total_stat = 0, total_dof = 0;
   double strength_num = 0, strength_den = 0;
-  for (const auto& [key, rows] : strata) {
+  for (const auto& rows : strata) {
     if (rows.size() < min_stratum) continue;
     CDI_ASSIGN_OR_RETURN(const CrossTab tab, CrossTabulate(x, y, &rows));
     if (tab.kx < 2 || tab.ky < 2) continue;

@@ -28,8 +28,9 @@ Result<IndependenceResult> ChiSquareIndependence(
     const std::vector<int>& x, const std::vector<int>& y);
 
 /// Conditional chi-square test of X ⟂ Y | Z: statistic and degrees of
-/// freedom sum over the strata of the (joint) conditioning codes. Strata
-/// with fewer than `min_stratum` rows are skipped.
+/// freedom sum over the strata of the (joint) conditioning codes, in the
+/// order each stratum first appears. Strata with fewer than `min_stratum`
+/// rows are skipped.
 Result<IndependenceResult> ConditionalChiSquare(
     const std::vector<int>& x, const std::vector<int>& y,
     const std::vector<std::vector<int>>& z, std::size_t min_stratum = 5);

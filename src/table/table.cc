@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <sstream>
-#include <unordered_set>
+#include <string_view>
 
 namespace cdi::table {
 
@@ -223,16 +223,45 @@ Result<Table> Table::SortBy(const std::string& column, bool ascending) const {
 }
 
 Table Table::DistinctRows() const {
-  std::unordered_set<std::string> seen;
-  std::vector<std::size_t> keep;
-  std::string key;
-  for (std::size_t r = 0; r < num_rows(); ++r) {
-    key.clear();
+  const std::size_t n = num_rows();
+  // Every row's exact typed key, back to back in one arena; row r's bytes
+  // are arena[offsets[r], offsets[r + 1]).
+  std::string arena;
+  arena.reserve(n * columns_.size() * (1 + sizeof(double)));
+  std::vector<std::size_t> offsets(n + 1, 0);
+  for (std::size_t r = 0; r < n; ++r) {
     for (const auto& c : columns_) {
-      c.AppendKeyBytes(r, /*column_local=*/true, &key);
+      c.AppendKeyBytes(r, /*column_local=*/true, &arena);
     }
-    if (seen.insert(key).second) keep.push_back(r);
+    offsets[r + 1] = arena.size();
   }
+  auto key = [&](std::size_t r) {
+    return std::string_view(arena).substr(offsets[r],
+                                          offsets[r + 1] - offsets[r]);
+  };
+  // Open addressing over the first occurrence of each key, at most half
+  // full; bytes are compared only when two rows' hashes match.
+  std::size_t capacity = 16;
+  while (capacity < 2 * n) capacity *= 2;
+  constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> slots(capacity, kEmpty);
+  std::vector<std::size_t> hashes(n);
+  std::vector<std::size_t> keep;
+  keep.reserve(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::string_view k = key(r);
+    hashes[r] = std::hash<std::string_view>{}(k);
+    std::size_t s = hashes[r] & (capacity - 1);
+    while (slots[s] != kEmpty &&
+           (hashes[slots[s]] != hashes[r] || key(slots[s]) != k)) {
+      s = (s + 1) & (capacity - 1);
+    }
+    if (slots[s] == kEmpty) {
+      slots[s] = r;
+      keep.push_back(r);
+    }
+  }
+  if (keep.size() == n) return *this;
   return TakeRows(keep);
 }
 

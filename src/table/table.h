@@ -103,7 +103,9 @@ class Table {
   Result<Table> SortBy(const std::string& column, bool ascending = true) const;
 
   /// Removes exact duplicate rows (all columns equal), keeping first
-  /// occurrences.
+  /// occurrences. Rows compare by their Column::AppendKeyBytes keys, so
+  /// every NaN equals every NaN while +0.0 and -0.0 stay distinct. Returns
+  /// a plain copy when no row repeats.
   Table DistinctRows() const;
 
   /// Pretty-prints up to `max_rows` rows in a fixed-width layout.

@@ -6,12 +6,14 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/string_util.h"
 #include "stats/correlation.h"
 #include "stats/descriptive.h"
 #include "stats/distributions.h"
 #include "stats/linalg.h"
+#include "stats/logistic.h"
 
 namespace cdi::testing {
 
@@ -140,7 +142,8 @@ Result<stats::IndependenceResult> ReferenceConditionalChiSquare(
       return Status::InvalidArgument("conditioning size mismatch");
     }
   }
-  std::unordered_map<std::string, std::vector<std::size_t>> strata;
+  std::map<std::string, std::size_t> stratum_of;
+  std::vector<std::vector<std::size_t>> strata;  // first-appearance order
   for (std::size_t i = 0; i < x.size(); ++i) {
     if (x[i] < 0 || y[i] < 0) continue;
     bool missing = false;
@@ -152,11 +155,14 @@ Result<stats::IndependenceResult> ReferenceConditionalChiSquare(
       }
       key += std::to_string(zc[i]) + ",";
     }
-    if (!missing) strata[key].push_back(i);
+    if (missing) continue;
+    const auto [it, inserted] = stratum_of.emplace(key, strata.size());
+    if (inserted) strata.emplace_back();
+    strata[it->second].push_back(i);
   }
   double total_stat = 0, total_dof = 0;
   double strength_num = 0, strength_den = 0;
-  for (const auto& [key, rows] : strata) {
+  for (const auto& rows : strata) {
     if (rows.size() < min_stratum) continue;
     std::vector<int> xs, ys;
     for (std::size_t i : rows) {
@@ -299,6 +305,151 @@ ReferenceFindCorrelatedColumns(const DataLake& lake,
                      return a.abs_correlation > b.abs_correlation;
                    });
   return out;
+}
+
+table::Table ReferenceDistinctRows(const table::Table& t) {
+  std::unordered_set<std::string> seen;
+  std::vector<std::size_t> keep;
+  std::string key;
+  for (std::size_t r = 0; r < t.num_rows(); ++r) {
+    key.clear();
+    for (std::size_t c = 0; c < t.num_cols(); ++c) {
+      t.ColumnAt(c).AppendKeyBytes(r, /*column_local=*/true, &key);
+    }
+    if (seen.insert(key).second) keep.push_back(r);
+  }
+  return t.TakeRows(keep);
+}
+
+namespace {
+
+double ReferenceIndicatorPValue(DoubleSpan indicator, DoubleSpan values) {
+  const double r = stats::PearsonCorrelation(indicator, values);
+  if (std::isnan(r)) return 1.0;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < indicator.size(); ++i) {
+    if (!std::isnan(indicator[i]) && !std::isnan(values[i])) ++n;
+  }
+  if (n < 4) return 1.0;
+  const double dof = static_cast<double>(n - 2);
+  const double denom = std::max(1e-12, 1.0 - r * r);
+  const double t = r * std::sqrt(dof / denom);
+  return stats::StudentTTwoSidedPValue(t, dof);
+}
+
+}  // namespace
+
+Result<core::OrganizerResult> ReferenceOrganize(
+    const core::OrganizerOptions& options, const table::Table& augmented,
+    const std::string& entity_column, const std::string& exposure,
+    const std::string& outcome) {
+  core::OrganizerResult result;
+
+  table::Table t = ReferenceDistinctRows(augmented);
+  result.duplicate_rows_removed = augmented.num_rows() - t.num_rows();
+
+  CDI_ASSIGN_OR_RETURN(const table::Column* tcol, t.GetColumn(exposure));
+  CDI_ASSIGN_OR_RETURN(const table::Column* ocol, t.GetColumn(outcome));
+  const std::vector<double> t_vals = tcol->ToDoubles();
+  const std::vector<double> o_vals = ocol->ToDoubles();
+
+  for (const auto& name : t.ColumnNames()) {
+    if (name == exposure || name == outcome || name == entity_column) continue;
+    CDI_ASSIGN_OR_RETURN(const table::Column* col, t.GetColumn(name));
+    bool drop = false;
+    if (table::IsNumeric(col->type())) {
+      const DoubleSpan vals = col->View();
+      auto assoc = [](DoubleSpan a, DoubleSpan b) {
+        const double rp = stats::PearsonCorrelation(a, b);
+        const double rs = stats::SpearmanCorrelation(a, b);
+        return std::max(std::isnan(rp) ? 0.0 : std::fabs(rp),
+                        std::isnan(rs) ? 0.0 : std::fabs(rs));
+      };
+      if (assoc(vals, t_vals) >= options.fd_correlation_threshold ||
+          assoc(vals, o_vals) >= options.fd_correlation_threshold) {
+        drop = true;
+      }
+    } else if (col->type() == table::DataType::kString &&
+               options.drop_string_fds) {
+      CDI_ASSIGN_OR_RETURN(bool fd_to_t, core::HoldsFd(t, name, exposure));
+      if (fd_to_t) drop = true;
+    }
+    if (drop) result.dropped_fd_attributes.push_back(name);
+  }
+  for (const auto& name : result.dropped_fd_attributes) {
+    CDI_RETURN_IF_ERROR(t.DropColumn(name));
+  }
+
+  if (options.outlier_robust_z > 0) {
+    for (const auto& name : t.ColumnNames()) {
+      if (name == entity_column || name == exposure) continue;
+      CDI_ASSIGN_OR_RETURN(table::Column * col, t.MutableColumn(name));
+      if (!table::IsNumeric(col->type())) continue;
+      const DoubleSpan vals = col->View();
+      const double med = stats::Median(vals);
+      std::vector<double> absdev;
+      absdev.reserve(vals.size());
+      for (double v : vals) {
+        if (!std::isnan(v)) absdev.push_back(std::fabs(v - med));
+      }
+      const double mad = stats::Median(absdev);
+      const double scale = 1.4826 * mad;
+      if (!(scale > 0)) continue;
+      const double fence = options.outlier_robust_z * scale;
+      std::size_t count = 0;
+      for (std::size_t r = 0; r < vals.size(); ++r) {
+        if (std::isnan(vals[r])) continue;
+        if (vals[r] > med + fence) {
+          CDI_RETURN_IF_ERROR(col->Set(r, table::Value(med + fence)));
+          ++count;
+        } else if (vals[r] < med - fence) {
+          CDI_RETURN_IF_ERROR(col->Set(r, table::Value(med - fence)));
+          ++count;
+        }
+      }
+      if (count > 0) result.winsorized_cells[name] = count;
+    }
+  }
+
+  result.row_weights.assign(t.num_rows(), 1.0);
+  bool any_bias = false;
+  std::vector<double> complete_indicator(t.num_rows(), 1.0);
+  for (const auto& name : t.ColumnNames()) {
+    if (name == entity_column) continue;
+    CDI_ASSIGN_OR_RETURN(const table::Column* col, t.GetColumn(name));
+    if (col->NullCount() == 0) continue;
+    core::MissingnessReport report;
+    report.attribute = name;
+    report.missing_fraction = col->NullFraction();
+    std::vector<double> indicator(t.num_rows());
+    for (std::size_t r = 0; r < t.num_rows(); ++r) {
+      indicator[r] = col->IsNull(r) ? 1.0 : 0.0;
+      if (col->IsNull(r)) complete_indicator[r] = 0.0;
+    }
+    report.p_vs_exposure = ReferenceIndicatorPValue(indicator, t_vals);
+    report.p_vs_outcome = ReferenceIndicatorPValue(indicator, o_vals);
+    report.selection_bias_risk =
+        report.p_vs_exposure < options.selection_bias_alpha ||
+        report.p_vs_outcome < options.selection_bias_alpha;
+    any_bias |= report.selection_bias_risk;
+    result.missingness.push_back(report);
+  }
+
+  if (any_bias && options.enable_ipw) {
+    auto fit = stats::FitLogistic({t_vals, o_vals}, complete_indicator);
+    if (fit.ok()) {
+      for (std::size_t r = 0; r < t.num_rows(); ++r) {
+        if (complete_indicator[r] < 0.5) continue;
+        if (std::isnan(t_vals[r]) || std::isnan(o_vals[r])) continue;
+        const double p = fit->Predict({t_vals[r], o_vals[r]});
+        const double w = 1.0 / std::max(p, 1e-3);
+        result.row_weights[r] = std::clamp(w, 1.0, options.max_ipw_weight);
+      }
+    }
+  }
+
+  result.organized = std::move(t);
+  return result;
 }
 
 }  // namespace cdi::testing

@@ -6,9 +6,11 @@
 
 #include "common/span.h"
 #include "common/status.h"
+#include "core/data_organizer.h"
 #include "knowledge/data_lake.h"
 #include "stats/independence.h"
 #include "stats/matrix.h"
+#include "table/table.h"
 
 namespace cdi::testing {
 
@@ -25,7 +27,8 @@ Result<double> ReferencePartialCorrelation(
 /// vector-of-vectors table, and Quantile (a sorted copy) per bin edge.
 /// stats::ChiSquareIndependence, ConditionalChiSquare and both QuantileBin
 /// forms must agree with them to the bit: statistic, p-value, strength
-/// and every code.
+/// and every code. Both conditional forms sum strata in first-appearance
+/// order.
 Result<stats::IndependenceResult> ReferenceChiSquareIndependence(
     const std::vector<int>& x, const std::vector<int>& y);
 
@@ -53,6 +56,22 @@ Result<std::vector<knowledge::DataLake::AugmentationCandidate>>
 ReferenceFindCorrelatedColumns(const knowledge::DataLake& lake,
                                const std::vector<std::string>& keys,
                                DoubleSpan target, double min_containment);
+
+/// table::Table::DistinctRows as it was before the hashed arena: one heap
+/// string per row in a std::unordered_set, and TakeRows even when every
+/// row is kept.
+table::Table ReferenceDistinctRows(const table::Table& t);
+
+/// core::DataOrganizer::Organize as it was before the shared rank orders:
+/// ReferenceDistinctRows, SpearmanCorrelation (two sorts a call) in the FD
+/// screen, stats::Median (a sorted copy) for each median and MAD, and a
+/// fresh indicator vector per attribute. String FDs go through
+/// core::HoldsFd. Organize must agree with it to the bit in every
+/// OrganizerResult field.
+Result<core::OrganizerResult> ReferenceOrganize(
+    const core::OrganizerOptions& options, const table::Table& augmented,
+    const std::string& entity_column, const std::string& exposure,
+    const std::string& outcome);
 
 }  // namespace cdi::testing
 

@@ -1,15 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "common/rng.h"
 #include "core/cdag.h"
 #include "core/data_organizer.h"
 #include "core/effect.h"
+#include "core/evaluation.h"
 #include "core/identifiability.h"
 #include "core/knowledge_extractor.h"
 #include "core/varclus.h"
+#include "datagen/covid.h"
+#include "datagen/flights.h"
+#include "datagen/grid.h"
+#include "datagen/scenario.h"
 #include "stats/descriptive.h"
+#include "testing/reference.h"
 
 namespace cdi::core {
 namespace {
@@ -205,6 +212,22 @@ TEST(HoldsFdTest, DetectsExactDependency) {
   EXPECT_TRUE(*HoldsFd(t, "city", "state"));
 }
 
+// Two exposures that agree to ten significant digits render alike under
+// Value::ToString's %.10g, but they are two values: one string value over
+// both does not pin the exposure down.
+TEST(HoldsFdTest, ExposuresEqualToTenDigitsStayDistinct) {
+  const double a = 0.123456789012;
+  const double b = 0.123456789034;
+  ASSERT_EQ(table::Value(a).ToString(), table::Value(b).ToString());
+  table::Table t("t");
+  CDI_CHECK(t.AddColumn(table::Column::FromStrings("state", {"MA", "MA"}))
+                .ok());
+  CDI_CHECK(t.AddColumn(table::Column::FromDoubles("near", {a, b})).ok());
+  CDI_CHECK(t.AddColumn(table::Column::FromDoubles("same", {a, a})).ok());
+  EXPECT_FALSE(*HoldsFd(t, "state", "near"));
+  EXPECT_TRUE(*HoldsFd(t, "state", "same"));
+}
+
 // ---------------------------------------------------------- DataOrganizer
 
 table::Table OrganizerInput(std::size_t n, uint64_t seed,
@@ -359,6 +382,309 @@ TEST(DataOrganizerTest, NoBiasMeansUnitWeights) {
   auto result = organizer.Organize(input, "entity", "t", "o");
   ASSERT_TRUE(result.ok());
   for (double w : result->row_weights) EXPECT_DOUBLE_EQ(w, 1.0);
+}
+
+// ------------------------------------------ DataOrganizer vs reference
+
+void ExpectSameBits(double got, double want, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+      << what << ": " << got << " vs " << want;
+}
+
+/// Same schema, same null bits, same cell bits (NaN payloads included),
+/// same byte estimate.
+void ExpectSameTable(const table::Table& got, const table::Table& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.num_rows(), want.num_rows()) << what;
+  ASSERT_EQ(got.num_cols(), want.num_cols()) << what;
+  EXPECT_EQ(got.ByteSize(), want.ByteSize()) << what;
+  for (std::size_t c = 0; c < got.num_cols(); ++c) {
+    const table::Column& a = got.ColumnAt(c);
+    const table::Column& b = want.ColumnAt(c);
+    const std::string col = what + " column " + b.name();
+    EXPECT_EQ(a.name(), b.name()) << col;
+    ASSERT_EQ(a.type(), b.type()) << col;
+    for (std::size_t r = 0; r < got.num_rows(); ++r) {
+      const std::string cell = col + " row " + std::to_string(r);
+      ASSERT_EQ(a.IsNull(r), b.IsNull(r)) << cell;
+      if (a.IsNull(r)) continue;
+      switch (a.type()) {
+        case table::DataType::kDouble:
+          ExpectSameBits(a.NumericAt(r), b.NumericAt(r), cell);
+          break;
+        case table::DataType::kInt64:
+          EXPECT_EQ(a.Get(r).as_int64(), b.Get(r).as_int64()) << cell;
+          break;
+        case table::DataType::kBool:
+          EXPECT_EQ(a.Get(r).as_bool(), b.Get(r).as_bool()) << cell;
+          break;
+        case table::DataType::kString:
+          EXPECT_EQ(a.StringAt(r), b.StringAt(r)) << cell;
+          break;
+      }
+    }
+  }
+}
+
+void ExpectSameOrganization(const Result<OrganizerResult>& got,
+                            const Result<OrganizerResult>& want,
+                            const std::string& what) {
+  ASSERT_EQ(got.ok(), want.ok()) << what;
+  if (!got.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << what;
+    return;
+  }
+  EXPECT_EQ(got->duplicate_rows_removed, want->duplicate_rows_removed)
+      << what;
+  EXPECT_EQ(got->dropped_fd_attributes, want->dropped_fd_attributes) << what;
+  EXPECT_EQ(got->winsorized_cells, want->winsorized_cells) << what;
+  ASSERT_EQ(got->missingness.size(), want->missingness.size()) << what;
+  for (std::size_t i = 0; i < got->missingness.size(); ++i) {
+    const MissingnessReport& a = got->missingness[i];
+    const MissingnessReport& b = want->missingness[i];
+    const std::string m = what + " missingness " + b.attribute;
+    EXPECT_EQ(a.attribute, b.attribute) << m;
+    ExpectSameBits(a.missing_fraction, b.missing_fraction, m);
+    ExpectSameBits(a.p_vs_exposure, b.p_vs_exposure, m);
+    ExpectSameBits(a.p_vs_outcome, b.p_vs_outcome, m);
+    EXPECT_EQ(a.selection_bias_risk, b.selection_bias_risk) << m;
+  }
+  ASSERT_EQ(got->row_weights.size(), want->row_weights.size()) << what;
+  for (std::size_t r = 0; r < got->row_weights.size(); ++r) {
+    ExpectSameBits(got->row_weights[r], want->row_weights[r],
+                   what + " weight " + std::to_string(r));
+  }
+  ExpectSameTable(got->organized, want->organized, what + " organized");
+}
+
+/// A double column whose cells are `v`, null where `nulls` says; a NaN in
+/// `v` elsewhere stays a non-null NaN cell with its payload.
+table::Column RawDoubles(std::string name, const std::vector<double>& v,
+                         const std::vector<bool>& nulls) {
+  table::Column c(std::move(name), table::DataType::kDouble);
+  for (std::size_t r = 0; r < v.size(); ++r) {
+    if (nulls[r]) {
+      c.AppendNull();
+    } else {
+      CDI_CHECK(c.AppendDouble(v[r]).ok());
+    }
+  }
+  return c;
+}
+
+/// A seeded table built to exercise every branch of the organizer:
+///   - exact duplicate rows, rows that repeat only up to a NaN payload
+///     (duplicates: keys canonicalize NaN) and rows that differ only in
+///     the sign of a zero (not duplicates);
+///   - ties (a half-step grid, an exposure repeated in pairs), nulls,
+///     non-null NaN cells, a constant, an all-NaN and (odd seeds) an
+///     all-null column,
+///     int64 and bool columns;
+///   - numeric FDs (linear and monotone), string FDs, and a string column
+///     over exposure pairs that differ within ten significant digits;
+///   - an outcome with gross outliers and an MNAR-missing attribute.
+table::Table OrganizerStressInput(uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  const double kPayloadA = std::bit_cast<double>(0x7ff8000000000a11ULL);
+  const double kPayloadB = std::bit_cast<double>(0x7ff8000000000b22ULL);
+  std::vector<double> t(n), o(n), tied(n), mnar(n), payload(n), zeros(n),
+      fd_num(n), mono(n);
+  std::vector<bool> t_null(n), mnar_null(n), count_null(n), flag_null(n);
+  std::vector<int64_t> count(n);
+  std::vector<bool> flag(n);
+  std::vector<std::string> entity(n), label(n), pair_exact(n), pair_near(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Exposure pairs: exact copies for i % 4 == 1, within ten digits for
+    // i % 4 == 3.
+    if (i % 4 == 1) {
+      t[i] = t[i - 1];
+    } else if (i % 4 == 3) {
+      t[i] = t[i - 1] * (1.0 + 3e-13);
+    } else {
+      t[i] = rng.Normal();
+    }
+    t_null[i] = i % 4 == 2 && rng.Bernoulli(0.05);
+    o[i] = 0.6 * t[i] + rng.Normal() + (i % 41 == 5 ? 60.0 : 0.0);
+    tied[i] = std::round(2.0 * rng.Normal()) / 2.0;
+    mnar[i] = 0.4 * t[i] + rng.Normal();
+    mnar_null[i] = o[i] > 0.5 && rng.Bernoulli(0.7);
+    payload[i] = rng.Bernoulli(0.2) ? kPayloadA : rng.Normal();
+    const double z[] = {0.0, -0.0, 1.0, 2.0};
+    zeros[i] = z[rng.UniformInt(uint64_t{4})];
+    fd_num[i] = 3.0 * t[i] + 1.0;
+    mono[i] = std::exp(2.0 * t[i]);
+    count[i] = static_cast<int64_t>(rng.UniformInt(uint64_t{10}));
+    count_null[i] = rng.Bernoulli(0.05);
+    flag[i] = rng.Bernoulli(0.5);
+    flag_null[i] = rng.Bernoulli(0.05);
+    entity[i] = "E" + std::to_string(i);
+    label[i] = "L" + std::to_string(i);
+    pair_exact[i] = (i / 2) % 2 == 0 ? "P" + std::to_string(i / 2)
+                                     : "Q" + std::to_string(i);
+    pair_near[i] = "P" + std::to_string(i / 2);
+  }
+  // Final rows: every base row once, plus repeats, shuffled so a repeat
+  // may come before its original. Variant 0 repeats exactly, 1 swaps a
+  // NaN payload, 2 flips the sign of a zero.
+  std::vector<std::pair<std::size_t, int>> rows;
+  for (std::size_t i = 0; i < n; ++i) rows.push_back({i, -1});
+  for (std::size_t k = 0; k < n / 8; ++k) {
+    const std::size_t i = rng.UniformInt(uint64_t{n});
+    rows.push_back({i, 0});
+    if (payload[i] != payload[i] || zeros[i] == 0.0) {
+      rows.push_back({i, payload[i] != payload[i] ? 1 : 2});
+    }
+  }
+  rng.Shuffle(&rows);
+  std::vector<double> col_t, col_o, col_tied, col_mnar, col_payload,
+      col_zeros, col_fd, col_mono, col_const, col_all_nan;
+  std::vector<bool> null_t, null_mnar, no_null, all_null;
+  table::Column col_count("count", table::DataType::kInt64);
+  table::Column col_flag("flag", table::DataType::kBool);
+  std::vector<std::string> col_entity, col_label, col_pair_exact,
+      col_pair_near;
+  for (const auto& [i, variant] : rows) {
+    col_t.push_back(t[i]);
+    null_t.push_back(t_null[i]);
+    col_o.push_back(o[i]);
+    col_tied.push_back(tied[i]);
+    col_mnar.push_back(mnar[i]);
+    null_mnar.push_back(mnar_null[i]);
+    col_payload.push_back(variant == 1 ? kPayloadB : payload[i]);
+    col_zeros.push_back(variant == 2 ? -zeros[i] : zeros[i]);
+    col_fd.push_back(fd_num[i]);
+    col_mono.push_back(mono[i]);
+    col_const.push_back(3.0);
+    col_all_nan.push_back(kPayloadA);
+    no_null.push_back(false);
+    all_null.push_back(true);
+    if (count_null[i]) {
+      col_count.AppendNull();
+    } else {
+      CDI_CHECK(col_count.AppendInt64(count[i]).ok());
+    }
+    if (flag_null[i]) {
+      col_flag.AppendNull();
+    } else {
+      CDI_CHECK(col_flag.AppendBool(flag[i]).ok());
+    }
+    col_entity.push_back(entity[i]);
+    col_label.push_back(label[i]);
+    col_pair_exact.push_back(pair_exact[i]);
+    col_pair_near.push_back(pair_near[i]);
+  }
+  table::Table out("stress");
+  auto add = [&](table::Column c) {
+    CDI_CHECK(out.AddColumn(std::move(c)).ok());
+  };
+  add(table::Column::FromStrings("entity", col_entity));
+  add(RawDoubles("t", col_t, null_t));
+  add(RawDoubles("o", col_o, no_null));
+  add(RawDoubles("tied", col_tied, no_null));
+  add(RawDoubles("mnar", col_mnar, null_mnar));
+  add(RawDoubles("payload", col_payload, no_null));
+  add(RawDoubles("zeros", col_zeros, no_null));
+  add(RawDoubles("fd_num", col_fd, no_null));
+  add(RawDoubles("mono", col_mono, no_null));
+  add(RawDoubles("constant", col_const, no_null));
+  // Every row is incomplete beside an all-null column, which leaves IPW
+  // nothing to fit; only odd seeds carry one.
+  if (seed % 2 == 1) add(RawDoubles("all_null", col_const, all_null));
+  add(RawDoubles("all_nan", col_all_nan, no_null));
+  add(std::move(col_count));
+  add(std::move(col_flag));
+  add(table::Column::FromStrings("label", col_label));
+  add(table::Column::FromStrings("pair_exact", col_pair_exact));
+  add(table::Column::FromStrings("pair_near", col_pair_near));
+  return out;
+}
+
+// Organize and DistinctRows against the formulations they replaced (a
+// sort per Spearman call and per median, a heap string per row): every
+// OrganizerResult field bit for bit, over seeded stress tables under
+// several option sets.
+TEST(DataOrganizerTest, MatchesReferenceBitForBit) {
+  std::vector<OrganizerOptions> option_sets(5);
+  option_sets[1].drop_string_fds = false;
+  option_sets[2].outlier_robust_z = 2.5;
+  option_sets[3].enable_ipw = false;
+  option_sets[3].fd_correlation_threshold = 0.9;
+  option_sets[4].outlier_robust_z = 0.0;
+  bool saw_duplicates = false, saw_winsorized_outcome = false,
+       saw_ipw = false, saw_near_pair_kept = false;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const table::Table input =
+        OrganizerStressInput(seed, 40 + 23 * static_cast<std::size_t>(seed));
+    const std::string what = "seed " + std::to_string(seed);
+    ExpectSameTable(input.DistinctRows(), testing::ReferenceDistinctRows(input),
+                    what + " distinct");
+    for (std::size_t k = 0; k < option_sets.size(); ++k) {
+      const DataOrganizer organizer(option_sets[k]);
+      const auto got = organizer.Organize(input, "entity", "t", "o");
+      const auto want = testing::ReferenceOrganize(option_sets[k], input,
+                                                   "entity", "t", "o");
+      ExpectSameOrganization(got, want,
+                             what + " options " + std::to_string(k));
+      if (!got.ok() || k != 0) continue;
+      saw_duplicates |= got->duplicate_rows_removed > 0;
+      saw_winsorized_outcome |= got->winsorized_cells.count("o") > 0;
+      for (double w : got->row_weights) saw_ipw |= w != 1.0;
+      saw_near_pair_kept |= got->organized.HasColumn("pair_near") &&
+                            !got->organized.HasColumn("pair_exact");
+    }
+  }
+  EXPECT_TRUE(saw_duplicates);
+  EXPECT_TRUE(saw_winsorized_outcome);
+  EXPECT_TRUE(saw_ipw);
+  EXPECT_TRUE(saw_near_pair_kept);
+}
+
+// An int64 attribute with a gross outlier cannot hold its winsorized
+// (double) fence: both formulations fail the same way.
+TEST(DataOrganizerTest, Int64OutlierFailsLikeReference) {
+  table::Table t = OrganizerStressInput(3, 120);
+  std::vector<int64_t> big(t.num_rows(), 1);
+  for (std::size_t r = 0; r < big.size(); ++r) big[r] = r % 7;
+  big[5] = 100000;
+  CDI_CHECK(t.AddColumn(table::Column::FromInts("big", big)).ok());
+  const OrganizerOptions options;
+  const auto got = DataOrganizer(options).Organize(t, "entity", "t", "o");
+  EXPECT_FALSE(got.ok());
+  ExpectSameOrganization(
+      got, testing::ReferenceOrganize(options, t, "entity", "t", "o"),
+      "int64 outlier");
+}
+
+// The organizer on what the extractor hands it for the paper's two
+// scenarios and one grid cell, against the reference.
+TEST(DataOrganizerTest, MatchesReferenceOnExtractedScenarios) {
+  datagen::GridCell cell;
+  cell.nonlinear = true;
+  cell.attrs_per_cluster = 2;
+  cell.mnar_level = 1;
+  cell.oracle_noise = 2;
+  const std::vector<datagen::ScenarioSpec> specs = {
+      datagen::FlightsSpec(), datagen::CovidSpec(),
+      datagen::GridScenarioSpec(cell, 120)};
+  for (const auto& spec : specs) {
+    auto scenario = datagen::BuildScenario(spec);
+    ASSERT_TRUE(scenario.ok());
+    const auto& s = **scenario;
+    const auto options = DefaultEvaluationOptions(s);
+    const KnowledgeExtractor extractor(&s.kg, &s.lake, options.extractor);
+    auto extraction = extractor.Extract(s.input_table, spec.entity_column,
+                                        s.exposure_attribute,
+                                        s.outcome_attribute);
+    ASSERT_TRUE(extraction.ok());
+    ExpectSameOrganization(
+        DataOrganizer(options.organizer)
+            .Organize(extraction->augmented, spec.entity_column,
+                      s.exposure_attribute, s.outcome_attribute),
+        testing::ReferenceOrganize(options.organizer, extraction->augmented,
+                                   spec.entity_column, s.exposure_attribute,
+                                   s.outcome_attribute),
+        spec.name);
+  }
 }
 
 // --------------------------------------------------------------- effect

@@ -336,7 +336,8 @@ TEST(DescriptiveTest, SpearmanRobustToMonotoneTransform) {
 
 // SpearmanFromOrders reads average ranks off presorted orders filtered to
 // the pairwise-complete rows; it must reproduce SpearmanCorrelation's bits
-// with ties, signed zeros, infinities and NaNs on either side.
+// with ties, signed zeros, infinities and NaNs on either side. When neither
+// side has a NaN, so must the Pearson correlation of RanksFromOrder.
 TEST(DescriptiveTest, SpearmanFromOrdersMatchesSpearmanBitForBit) {
   const double kNaN = std::nan("");
   auto draw = [](Rng& rng, bool ties) {
@@ -350,7 +351,7 @@ TEST(DescriptiveTest, SpearmanFromOrdersMatchesSpearmanBitForBit) {
     return b;
   };
   Rng rng(2024);
-  std::size_t finite = 0;
+  std::size_t finite = 0, complete = 0;
   for (std::size_t n : {0, 1, 2, 3, 5, 17, 100, 500}) {
     for (int trial = 0; trial < 40; ++trial) {
       const bool x_ties = trial % 2 == 0, y_ties = trial % 3 == 0;
@@ -368,9 +369,20 @@ TEST(DescriptiveTest, SpearmanFromOrdersMatchesSpearmanBitForBit) {
         EXPECT_EQ(bits(want), bits(got)) << want << " vs " << got;
         ++finite;
       }
+      if (x_nan == 0.0 && y_nan == 0.0) {
+        const double ranked =
+            PearsonCorrelation(RanksFromOrder(x, RankOrder(x)),
+                               RanksFromOrder(y, RankOrder(y)));
+        EXPECT_EQ(std::isnan(want), std::isnan(ranked)) << "n=" << n;
+        if (!std::isnan(want)) {
+          EXPECT_EQ(bits(want), bits(ranked)) << want << " vs " << ranked;
+          ++complete;
+        }
+      }
     }
   }
   EXPECT_GT(finite, 150u);
+  EXPECT_GT(complete, 50u);
   // Mismatched lengths are NaN, as for SpearmanCorrelation.
   const std::vector<double> a = {1, 2, 3}, b = {1, 2};
   EXPECT_TRUE(std::isnan(SpearmanFromOrders(a, RankOrder(a), b, RankOrder(b))));
@@ -712,6 +724,70 @@ TEST(IndependenceTest, ConditionalChiSquareBlocksChain) {
   ASSERT_TRUE(conditional.ok());
   EXPECT_LT(marginal->p_value, 1e-10);
   EXPECT_GT(conditional->p_value, 0.001);
+}
+
+// The conditional statistic is the per-stratum statistics summed in the
+// order each joint z code first appears, so its bits depend on the data
+// alone, not on a hash layout. The strata differ enough that summing them
+// in another order (ascending) gives other bits.
+TEST(IndependenceTest, ConditionalChiSquareSumsStrataInFirstAppearanceOrder) {
+  Rng rng(67);
+  const std::size_t n = 900;
+  std::vector<int> x(n), y(n), z1(n), z2(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    z1[i] = static_cast<int>(rng.UniformInt(uint64_t{4}));
+    z2[i] = rng.Bernoulli(0.1)
+                ? -1
+                : static_cast<int>(rng.UniformInt(uint64_t{5}));
+    x[i] = static_cast<int>(rng.UniformInt(uint64_t{3}));
+    // Dependence that varies by stratum, so the strata's statistics
+    // differ in magnitude.
+    y[i] = rng.Bernoulli(z1[i] == 3 ? 0.95 : 0.05 * z1[i])
+               ? x[i] % 2
+               : static_cast<int>(rng.UniformInt(uint64_t{2}));
+    if (rng.Bernoulli(0.05)) x[i] = -1;
+  }
+  const std::size_t min_stratum = 5;
+  std::vector<std::pair<int, int>> keys;  // first-appearance order
+  std::vector<std::vector<int>> xs, ys;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (x[i] < 0 || y[i] < 0 || z1[i] < 0 || z2[i] < 0) continue;
+    const std::pair<int, int> key = {z1[i], z2[i]};
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    const std::size_t s = static_cast<std::size_t>(it - keys.begin());
+    if (it == keys.end()) {
+      keys.push_back(key);
+      xs.emplace_back();
+      ys.emplace_back();
+    }
+    xs[s].push_back(x[i]);
+    ys[s].push_back(y[i]);
+  }
+  ASSERT_GE(keys.size(), 10u);
+  std::vector<double> stats;
+  for (std::size_t s = 0; s < keys.size(); ++s) {
+    if (xs[s].size() < min_stratum) continue;
+    auto r = ChiSquareIndependence(xs[s], ys[s]);
+    ASSERT_TRUE(r.ok());
+    stats.push_back(r->statistic);
+  }
+  double forward = 0, ascending = 0;
+  for (double v : stats) forward += v;
+  std::vector<double> sorted = stats;
+  std::sort(sorted.begin(), sorted.end());
+  for (double v : sorted) ascending += v;
+  ASSERT_NE(std::bit_cast<uint64_t>(forward),
+            std::bit_cast<uint64_t>(ascending));
+
+  auto got = ConditionalChiSquare(x, y, {z1, z2}, min_stratum);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(std::bit_cast<uint64_t>(got->statistic),
+            std::bit_cast<uint64_t>(forward));
+  auto want =
+      testing::ReferenceConditionalChiSquare(x, y, {z1, z2}, min_stratum);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(std::bit_cast<uint64_t>(want->statistic),
+            std::bit_cast<uint64_t>(forward));
 }
 
 TEST(IndependenceTest, MutualInformationOrdering) {

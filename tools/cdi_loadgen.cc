@@ -81,10 +81,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -126,6 +128,13 @@ struct Args {
   std::size_t memory_budget_kb = 0;  // 0 = unlimited
 };
 
+/// Ceilings of the loadgen-only count flags (the shared ones live beside
+/// ParseBoundedCount).
+constexpr std::uint64_t kMaxRequestsFlag = 1000000;      // per client
+constexpr std::uint64_t kMaxDistinctFlag = 10000;        // (T, O) pairs
+constexpr std::uint64_t kMaxChurnBatchesFlag = 10000;
+constexpr std::uint64_t kMaxGridScenariosFlag = 100000;  // grid cells
+
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -140,34 +149,46 @@ int Usage(const char* argv0) {
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
+  using cdi::serve::kMaxGenerateEntities;
+  using cdi::serve::kMaxThreadsFlag;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
+    // A count flag: digits only and at most `ceiling`, checked here, before
+    // any scenario, thread or queue exists.
+    auto count = [&](const char* v, std::uint64_t ceiling, auto* out) {
+      auto parsed = cdi::serve::ParseBoundedCount(flag.substr(2), v, ceiling);
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "%s: %s\n", flag.c_str(),
+                     parsed.status().message().c_str());
+        return false;
+      }
+      *out = static_cast<std::remove_reference_t<decltype(*out)>>(*parsed);
+      return true;
+    };
     const char* v = nullptr;
     if (flag == "--scenario" && (v = next())) {
       args->scenario = v;
     } else if (flag == "--entities" && (v = next())) {
-      auto entities = cdi::serve::ParseEntityCount(v);
-      if (!entities.ok()) {
-        std::fprintf(stderr, "--entities: %s\n",
-                     entities.status().message().c_str());
+      if (!count(v, kMaxGenerateEntities, &args->entities)) return false;
+    } else if (flag == "--clients" && (v = next())) {
+      if (!count(v, kMaxThreadsFlag, &args->clients)) return false;
+    } else if (flag == "--requests" && (v = next())) {
+      if (!count(v, kMaxRequestsFlag, &args->requests)) return false;
+    } else if (flag == "--workers" && (v = next())) {
+      if (!count(v, kMaxThreadsFlag, &args->workers)) return false;
+    } else if (flag == "--queue-depth" && (v = next())) {
+      if (!count(v, cdi::serve::kMaxQueueDepthFlag, &args->queue_depth)) {
         return false;
       }
-      args->entities = *entities;
-    } else if (flag == "--clients" && (v = next())) {
-      args->clients = std::atoi(v);
-    } else if (flag == "--requests" && (v = next())) {
-      args->requests = std::atoi(v);
-    } else if (flag == "--workers" && (v = next())) {
-      args->workers = std::atoi(v);
-    } else if (flag == "--queue-depth" && (v = next())) {
-      args->queue_depth = static_cast<std::size_t>(std::atoll(v));
     } else if (flag == "--distinct" && (v = next())) {
-      args->distinct = std::atoi(v);
+      if (!count(v, kMaxDistinctFlag, &args->distinct)) return false;
     } else if (flag == "--seed" && (v = next())) {
-      args->seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!count(v, std::numeric_limits<std::uint64_t>::max(), &args->seed)) {
+        return false;
+      }
     } else if (flag == "--min-hit-rate" && (v = next())) {
       args->min_hit_rate = std::atof(v);
     } else if (flag == "--no-verify") {
@@ -179,19 +200,27 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--summarize-mix") {
       args->summarize_mix = true;
     } else if (flag == "--churn-rows" && (v = next())) {
-      args->churn_rows = static_cast<std::size_t>(std::atoll(v));
+      if (!count(v, kMaxGenerateEntities, &args->churn_rows)) return false;
     } else if (flag == "--churn-batches" && (v = next())) {
-      args->churn_batches = std::atoi(v);
+      if (!count(v, kMaxChurnBatchesFlag, &args->churn_batches)) return false;
     } else if (flag == "--scenarios" && (v = next())) {
-      args->grid_scenarios = static_cast<std::size_t>(std::atoll(v));
+      if (!count(v, kMaxGridScenariosFlag, &args->grid_scenarios)) {
+        return false;
+      }
     } else if (flag == "--skew" && (v = next())) {
       args->skew = v;
     } else if (flag == "--zipf-s" && (v = next())) {
       args->zipf_s = std::atof(v);
     } else if (flag == "--registry-shards" && (v = next())) {
-      args->registry_shards = static_cast<std::size_t>(std::atoll(v));
+      if (!count(v, cdi::serve::kMaxRegistryShardsFlag,
+                 &args->registry_shards)) {
+        return false;
+      }
     } else if (flag == "--memory-budget-kb" && (v = next())) {
-      args->memory_budget_kb = static_cast<std::size_t>(std::atoll(v));
+      if (!count(v, cdi::serve::kMaxMemoryBudgetKbFlag,
+                 &args->memory_budget_kb)) {
+        return false;
+      }
     } else {
       std::fprintf(stderr, "unknown or incomplete flag: %s\n", flag.c_str());
       return false;

@@ -69,6 +69,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/string_util.h"
@@ -112,31 +113,54 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
-    const char* v = nullptr;
-    if (flag == "--workers" && (v = next())) {
-      args->workers = std::atoi(v);
-    } else if (flag == "--queue-depth" && (v = next())) {
-      args->queue_depth = static_cast<std::size_t>(std::atoll(v));
-    } else if (flag == "--pipeline-threads" && (v = next())) {
-      args->pipeline_threads = std::atoi(v);
-    } else if (flag == "--entities" && (v = next())) {
-      auto entities = cdi::serve::ParseEntityCount(v);
-      if (!entities.ok()) {
-        std::fprintf(stderr, "--entities: %s\n",
-                     entities.status().message().c_str());
+    // A size flag: digits only and at most `ceiling`, checked here, before
+    // any thread, queue or shard exists.
+    auto count = [&](const char* v, std::uint64_t ceiling, auto* out) {
+      auto parsed = cdi::serve::ParseBoundedCount(flag.substr(2), v, ceiling);
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "%s: %s\n", flag.c_str(),
+                     parsed.status().message().c_str());
         return false;
       }
-      args->entities = *entities;
+      *out = static_cast<std::remove_reference_t<decltype(*out)>>(*parsed);
+      return true;
+    };
+    const char* v = nullptr;
+    if (flag == "--workers" && (v = next())) {
+      if (!count(v, cdi::serve::kMaxThreadsFlag, &args->workers)) return false;
+    } else if (flag == "--queue-depth" && (v = next())) {
+      if (!count(v, cdi::serve::kMaxQueueDepthFlag, &args->queue_depth)) {
+        return false;
+      }
+    } else if (flag == "--pipeline-threads" && (v = next())) {
+      if (!count(v, cdi::serve::kMaxThreadsFlag, &args->pipeline_threads)) {
+        return false;
+      }
+    } else if (flag == "--entities" && (v = next())) {
+      if (!count(v, cdi::serve::kMaxGenerateEntities, &args->entities)) {
+        return false;
+      }
     } else if (flag == "--scenarios" && (v = next())) {
       args->scenarios = cdi::Split(v, ',');
     } else if (flag == "--registry-shards" && (v = next())) {
-      args->registry_shards = static_cast<std::size_t>(std::atoll(v));
+      if (!count(v, cdi::serve::kMaxRegistryShardsFlag,
+                 &args->registry_shards)) {
+        return false;
+      }
     } else if (flag == "--memory-budget-kb" && (v = next())) {
-      args->memory_budget_kb = static_cast<std::size_t>(std::atoll(v));
+      if (!count(v, cdi::serve::kMaxMemoryBudgetKbFlag,
+                 &args->memory_budget_kb)) {
+        return false;
+      }
     } else {
       std::fprintf(stderr, "unknown or incomplete flag: %s\n", flag.c_str());
       return false;
     }
+  }
+  if (args->queue_depth == 0) {
+    // A zero-depth queue sheds every request.
+    std::fprintf(stderr, "--queue-depth must be >= 1\n");
+    return false;
   }
   return !args->scenarios.empty();
 }
