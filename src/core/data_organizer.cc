@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <unordered_map>
 
 #include "common/span.h"
@@ -31,66 +33,31 @@ double IndicatorAssociationPValue(cdi::DoubleSpan indicator,
   return stats::StudentTTwoSidedPValue(t, dof);
 }
 
-/// Where stats::Quantile(x, 0.5) reads a median among `n` sorted values:
-/// the k-th smallest for k = lo and k = hi, blended by `frac`.
-struct MedianPosition {
-  std::size_t lo;
-  std::size_t hi;
-  double frac;
-};
-
-MedianPosition MedianAt(std::size_t n) {
-  const double pos = 0.5 * static_cast<double>(n - 1);
-  const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
-  const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
-  return {lo, hi, pos - static_cast<double>(lo)};
-}
-
-/// A numeric column's rank order and, when it has no NaN, its average
-/// ranks. Two NaN-free columns' Spearman is the Pearson correlation of
-/// their ranks, so such a column is ranked once, not once per pair.
-struct Ranking {
-  std::vector<std::size_t> order;
-  std::vector<double> ranks;  // empty when the column has a NaN
-};
-
-Ranking Rank(cdi::DoubleSpan vals) {
-  Ranking r{stats::RankOrder(vals), {}};
-  if (r.order.size() == vals.size()) {
-    r.ranks = stats::RanksFromOrder(vals, r.order);
-  }
-  return r;
-}
-
-/// stats::SpearmanCorrelation(x, y) bit for bit.
-double Spearman(cdi::DoubleSpan x, const Ranking& xr, cdi::DoubleSpan y,
-                const Ranking& yr) {
-  if (!xr.ranks.empty() && !yr.ranks.empty()) {
-    return stats::PearsonCorrelation(xr.ranks, yr.ranks);
-  }
-  return stats::SpearmanFromOrders(x, xr.order, y, yr.order);
-}
-
-/// stats::Median(vals) bit for bit, read off `order` = RankOrder(vals)
-/// instead of a sorted copy.
-double MedianFromOrder(cdi::DoubleSpan vals,
-                       const std::vector<std::size_t>& order) {
-  if (order.empty()) return std::numeric_limits<double>::quiet_NaN();
-  const MedianPosition m = MedianAt(order.size());
-  return vals[order[m.lo]] * (1.0 - m.frac) + vals[order[m.hi]] * m.frac;
-}
-
 /// stats::Median(*values) bit for bit for NaN-free values, by selection
 /// instead of a sort. Reorders `values`.
 double MedianBySelection(std::vector<double>* values) {
   if (values->empty()) return std::numeric_limits<double>::quiet_NaN();
-  const MedianPosition m = MedianAt(values->size());
+  const stats::QuantilePosition m = stats::QuantileAt(values->size(), 0.5);
   const auto lo = values->begin() + static_cast<std::ptrdiff_t>(m.lo);
   std::nth_element(values->begin(), lo, values->end());
   const double v_lo = *lo;
   const double v_hi =
       m.hi == m.lo ? v_lo : *std::min_element(lo + 1, values->end());
   return v_lo * (1.0 - m.frac) + v_hi * m.frac;
+}
+
+/// Column::AppendKeyBytes(row, column_local=true), except that an int64
+/// cell keys on its own bits: AppendKeyBytes widens it to a double, which
+/// would merge two int64 values above 2^53.
+void AppendExactKey(const table::Column& c, std::size_t row,
+                    std::string* out) {
+  if (c.type() == table::DataType::kInt64 && !c.IsNull(row)) {
+    const int64_t v = c.Get(row).as_int64();
+    out->push_back('i');
+    out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+    return;
+  }
+  c.AppendKeyBytes(row, /*column_local=*/true, out);
 }
 
 }  // namespace
@@ -100,16 +67,16 @@ Result<bool> HoldsFd(const table::Table& t, const std::string& lhs,
   CDI_ASSIGN_OR_RETURN(const table::Column* l, t.GetColumn(lhs));
   CDI_ASSIGN_OR_RETURN(const table::Column* r, t.GetColumn(rhs));
   // Exact typed keys, never a decimal rendering: two doubles that agree to
-  // ten significant digits are still two values. A null rhs keys as its
-  // own tag.
+  // ten significant digits are still two values, and so are two int64
+  // values above 2^53. A null rhs keys as its own tag.
   std::unordered_map<std::string, std::string> map;
   std::string lv, rv;
   for (std::size_t row = 0; row < t.num_rows(); ++row) {
     if (l->IsNull(row)) continue;
     lv.clear();
     rv.clear();
-    l->AppendKeyBytes(row, /*column_local=*/true, &lv);
-    r->AppendKeyBytes(row, /*column_local=*/true, &rv);
+    AppendExactKey(*l, row, &lv);
+    AppendExactKey(*r, row, &rv);
     auto [it, inserted] = map.try_emplace(lv, rv);
     if (!inserted && it->second != rv) return false;
   }
@@ -133,11 +100,11 @@ Result<OrganizerResult> DataOrganizer::Organize(
   const std::vector<double> t_vals = tcol->ToDoubles();
   const std::vector<double> o_vals = ocol->ToDoubles();
   // Every numeric column is sorted once: its rank order feeds both the
-  // Spearman screen of step 2 and the median of step 3. rankings[i]
-  // belongs to column i of `t` before any drop.
-  const Ranking t_rank = Rank(t_vals);
-  const Ranking o_rank = Rank(o_vals);
-  std::vector<Ranking> rankings(t.num_cols());
+  // Spearman screen of step 2 and the median of step 3. orders[i] belongs
+  // to column i of `t` before any drop.
+  const std::vector<std::size_t> t_order = stats::RankOrder(t_vals);
+  const std::vector<std::size_t> o_order = stats::RankOrder(o_vals);
+  std::vector<std::vector<std::size_t>> orders(t.num_cols());
   std::vector<bool> dropped(t.num_cols(), false);
 
   // ---- 2. Functional dependencies with exposure/outcome. --------------------
@@ -150,15 +117,17 @@ Result<OrganizerResult> DataOrganizer::Organize(
       // Spearman catches monotone-but-nonlinear deterministic relations
       // (e.g. a calling code that is a monotone function of the exposure).
       const cdi::DoubleSpan vals = col.View();
-      rankings[i] = Rank(vals);
-      auto assoc = [&](cdi::DoubleSpan other, const Ranking& other_rank) {
+      orders[i] = stats::RankOrder(vals);
+      auto assoc = [&](cdi::DoubleSpan other,
+                       const std::vector<std::size_t>& other_order) {
         const double rp = stats::PearsonCorrelation(vals, other);
-        const double rs = Spearman(vals, rankings[i], other, other_rank);
+        const double rs =
+            stats::SpearmanFromOrders(vals, orders[i], other, other_order);
         return std::max(std::isnan(rp) ? 0.0 : std::fabs(rp),
                         std::isnan(rs) ? 0.0 : std::fabs(rs));
       };
-      if (assoc(t_vals, t_rank) >= options_.fd_correlation_threshold ||
-          assoc(o_vals, o_rank) >= options_.fd_correlation_threshold) {
+      if (assoc(t_vals, t_order) >= options_.fd_correlation_threshold ||
+          assoc(o_vals, o_order) >= options_.fd_correlation_threshold) {
         drop = true;
       }
     } else if (col.type() == table::DataType::kString &&
@@ -181,7 +150,7 @@ Result<OrganizerResult> DataOrganizer::Organize(
   if (options_.outlier_robust_z > 0) {
     std::vector<double> absdev;  // one buffer for every column's MAD
     std::size_t j = 0;           // column i's index in `t` after the drops
-    for (std::size_t i = 0; i < rankings.size(); ++i) {
+    for (std::size_t i = 0; i < orders.size(); ++i) {
       if (dropped[i]) continue;
       table::Column& col = t.MutableColumnAt(j++);
       const std::string& name = col.name();
@@ -192,8 +161,8 @@ Result<OrganizerResult> DataOrganizer::Organize(
       // before any write. The rank order is still the column's: only
       // other columns were written since step 2 ranked it.
       const cdi::DoubleSpan vals = col.View();
-      const double med = MedianFromOrder(
-          vals, name == outcome ? o_rank.order : rankings[i].order);
+      const double med = stats::QuantileFromOrder(
+          vals, name == outcome ? o_order : orders[i], 0.5);
       absdev.clear();
       for (double v : vals) {
         if (!std::isnan(v)) absdev.push_back(std::fabs(v - med));

@@ -74,6 +74,25 @@ Result<std::uint64_t> ParseBoundedCount(const std::string& what,
   return static_cast<std::uint64_t>(v);
 }
 
+bool ParseCountFlag(const std::string& flag, const char* value,
+                    std::uint64_t floor, std::uint64_t ceiling,
+                    std::uint64_t* out) {
+  const std::string what = flag.rfind("--", 0) == 0 ? flag.substr(2) : flag;
+  Result<std::uint64_t> parsed = ParseBoundedCount(what, value, ceiling);
+  if (parsed.ok() && *parsed < floor) {
+    parsed = Status::InvalidArgument(what + "=" + value +
+                                     " is below the floor of " +
+                                     std::to_string(floor));
+  }
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s: %s\n", flag.c_str(),
+                 parsed.status().message().c_str());
+    return false;
+  }
+  *out = *parsed;
+  return true;
+}
+
 std::uint64_t ResultFingerprint(const core::PipelineResult& result) {
   Fnv1a h("cdi::serve::ResultFingerprint/v1");
 

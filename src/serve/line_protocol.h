@@ -130,8 +130,26 @@ Result<std::uint64_t> ParseBoundedCount(const std::string& what,
                                         const std::string& value,
                                         std::uint64_t ceiling);
 
+/// Parses the value of the count flag `flag` (as `--workers`) of
+/// `cdi_serve` or `cdi_loadgen`: ParseBoundedCount with the flag's name,
+/// plus a floor. On a bad value prints the error to stderr, naming the
+/// flag, and returns false; `*out` is written only on success.
+bool ParseCountFlag(const std::string& flag, const char* value,
+                    std::uint64_t floor, std::uint64_t ceiling,
+                    std::uint64_t* out);
+
+/// ParseCountFlag into a narrower field; `ceiling` must fit in T.
+template <typename T>
+bool ParseCountFlag(const std::string& flag, const char* value,
+                    std::uint64_t floor, std::uint64_t ceiling, T* out) {
+  std::uint64_t v = 0;
+  if (!ParseCountFlag(flag, value, floor, ceiling, &v)) return false;
+  *out = static_cast<T>(v);
+  return true;
+}
+
 /// Ceilings of the size flags `cdi_serve` and `cdi_loadgen` parse with
-/// ParseBoundedCount (`--entities` takes kMaxGenerateEntities). Each flag
+/// ParseCountFlag (`--entities` takes kMaxGenerateEntities). Each flag
 /// sizes threads, queue slots, shards or a byte budget before anything is
 /// served, so a wrapped or absurd value is a usage error, never an
 /// allocation request.

@@ -72,13 +72,23 @@ double Median(DoubleSpan x) { return Quantile(x, 0.5); }
 double Quantile(DoubleSpan x, double q) {
   auto v = ValidValues(x);
   if (v.empty()) return kNaN;
-  q = std::clamp(q, 0.0, 1.0);
   std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
+  const QuantilePosition p = QuantileAt(v.size(), q);
+  return v[p.lo] * (1.0 - p.frac) + v[p.hi] * p.frac;
+}
+
+QuantilePosition QuantileAt(std::size_t n, double q) {
+  const double pos = std::clamp(q, 0.0, 1.0) * static_cast<double>(n - 1);
   const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
   const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
-  const double frac = pos - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
+  return {lo, hi, pos - static_cast<double>(lo)};
+}
+
+double QuantileFromOrder(DoubleSpan x, const std::vector<std::size_t>& order,
+                         double q) {
+  if (order.empty()) return kNaN;
+  const QuantilePosition p = QuantileAt(order.size(), q);
+  return x[order[p.lo]] * (1.0 - p.frac) + x[order[p.hi]] * p.frac;
 }
 
 double Skewness(DoubleSpan x) {
@@ -196,21 +206,6 @@ std::vector<std::size_t> RankOrder(DoubleSpan x) {
 
 namespace {
 
-/// AverageRanks of v over `sorted` (rows ascending by v), written to
-/// `ranks` at each of those rows.
-void AssignAverageRanks(DoubleSpan v, const std::vector<std::size_t>& sorted,
-                        std::vector<double>* ranks) {
-  const std::size_t n = sorted.size();
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && v[sorted[j + 1]] == v[sorted[i]]) ++j;
-    const double avg = 0.5 * (static_cast<double>(i) + static_cast<double>(j)) + 1.0;
-    for (std::size_t k = i; k <= j; ++k) (*ranks)[sorted[k]] = avg;
-    i = j + 1;
-  }
-}
-
 /// AverageRanks over the rows of `order` where `other` is not NaN, written
 /// to `ranks` at each such row.
 void AverageRanksFromOrder(DoubleSpan v, const std::vector<std::size_t>& order,
@@ -220,17 +215,18 @@ void AverageRanksFromOrder(DoubleSpan v, const std::vector<std::size_t>& order,
   for (std::size_t r : order) {
     if (!std::isnan(other[r])) kept.push_back(r);
   }
-  AssignAverageRanks(v, kept, ranks);
+  const std::size_t n = kept.size();
+  std::size_t i = 0;
+  while (i < n) {
+    std::size_t j = i;
+    while (j + 1 < n && v[kept[j + 1]] == v[kept[i]]) ++j;
+    const double avg = 0.5 * (static_cast<double>(i) + static_cast<double>(j)) + 1.0;
+    for (std::size_t k = i; k <= j; ++k) (*ranks)[kept[k]] = avg;
+    i = j + 1;
+  }
 }
 
 }  // namespace
-
-std::vector<double> RanksFromOrder(DoubleSpan x,
-                                   const std::vector<std::size_t>& order) {
-  std::vector<double> ranks(x.size(), kNaN);
-  AssignAverageRanks(x, order, &ranks);
-  return ranks;
-}
 
 double SpearmanFromOrders(DoubleSpan x, const std::vector<std::size_t>& x_order,
                           DoubleSpan y, const std::vector<std::size_t>& y_order) {

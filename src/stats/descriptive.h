@@ -29,6 +29,22 @@ double Median(DoubleSpan x);
 /// Linear-interpolated quantile, q in [0, 1].
 double Quantile(DoubleSpan x, double q);
 
+/// Where Quantile reads q among n >= 1 sorted values: the lo-th and hi-th
+/// smallest (0-based), blended as v[lo] * (1 - frac) + v[hi] * frac.
+/// Every quantile in the project is this one formula, so its forms agree
+/// bit for bit.
+struct QuantilePosition {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+QuantilePosition QuantileAt(std::size_t n, double q);
+
+/// Quantile(x, q) bit for bit, given `order` = RankOrder(x), without a
+/// sorted copy.
+double QuantileFromOrder(DoubleSpan x, const std::vector<std::size_t>& order,
+                         double q);
+
 /// Sample skewness (Fisher-Pearson, bias-unadjusted).
 double Skewness(DoubleSpan x);
 
@@ -62,13 +78,6 @@ std::vector<std::size_t> RankOrder(DoubleSpan x);
 /// the rows the other side has, in O(n) instead of a sort.
 double SpearmanFromOrders(DoubleSpan x, const std::vector<std::size_t>& x_order,
                           DoubleSpan y, const std::vector<std::size_t>& y_order);
-
-/// Average ranks (1-based, ties share their mean) of x's non-NaN rows, NaN
-/// at its NaN rows, given RankOrder(x). For two NaN-free columns
-/// PearsonCorrelation of their ranks is SpearmanFromOrders of the two, bit
-/// for bit, so a column ranked against many others is ranked once.
-std::vector<double> RanksFromOrder(DoubleSpan x,
-                                   const std::vector<std::size_t>& order);
 
 /// (x - mean) / stddev; NaN entries stay NaN. A constant vector maps to all
 /// zeros.

@@ -218,17 +218,11 @@ std::vector<int> QuantileBin(DoubleSpan x,
                              int bins) {
   std::vector<int> out(x.size(), -1);
   if (order.empty()) return out;
-  // Quantile's linear interpolation between order statistics, read off
-  // the presorted order instead of a sorted copy per edge.
-  const double last = static_cast<double>(order.size() - 1);
+  // Quantile edges read off the presorted order, not a sorted copy each.
   std::vector<double> edges;
   for (int b = 1; b < bins; ++b) {
-    const double pos =
-        std::clamp(static_cast<double>(b) / bins, 0.0, 1.0) * last;
-    const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
-    const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
-    const double frac = pos - static_cast<double>(lo);
-    edges.push_back(x[order[lo]] * (1.0 - frac) + x[order[hi]] * frac);
+    edges.push_back(
+        QuantileFromOrder(x, order, static_cast<double>(b) / bins));
   }
   for (std::size_t i = 0; i < x.size(); ++i) {
     if (std::isnan(x[i])) continue;

@@ -1,9 +1,11 @@
 #include "table/table.h"
 
 #include <algorithm>
+#include <memory_resource>
 #include <numeric>
 #include <sstream>
 #include <string_view>
+#include <unordered_set>
 
 namespace cdi::table {
 
@@ -235,31 +237,17 @@ Table Table::DistinctRows() const {
     }
     offsets[r + 1] = arena.size();
   }
-  auto key = [&](std::size_t r) {
-    return std::string_view(arena).substr(offsets[r],
-                                          offsets[r + 1] - offsets[r]);
-  };
-  // Open addressing over the first occurrence of each key, at most half
-  // full; bytes are compared only when two rows' hashes match.
-  std::size_t capacity = 16;
-  while (capacity < 2 * n) capacity *= 2;
-  constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> slots(capacity, kEmpty);
-  std::vector<std::size_t> hashes(n);
+  // The set holds views into the arena, and its nodes come from one
+  // monotonic buffer, not a heap allocation per row.
+  std::pmr::monotonic_buffer_resource pool;
+  std::pmr::unordered_set<std::string_view> seen(&pool);
+  seen.reserve(n);
   std::vector<std::size_t> keep;
   keep.reserve(n);
   for (std::size_t r = 0; r < n; ++r) {
-    const std::string_view k = key(r);
-    hashes[r] = std::hash<std::string_view>{}(k);
-    std::size_t s = hashes[r] & (capacity - 1);
-    while (slots[s] != kEmpty &&
-           (hashes[slots[s]] != hashes[r] || key(slots[s]) != k)) {
-      s = (s + 1) & (capacity - 1);
-    }
-    if (slots[s] == kEmpty) {
-      slots[s] = r;
-      keep.push_back(r);
-    }
+    const std::string_view key(arena.data() + offsets[r],
+                               offsets[r + 1] - offsets[r]);
+    if (seen.insert(key).second) keep.push_back(r);
   }
   if (keep.size() == n) return *this;
   return TakeRows(keep);

@@ -228,6 +228,22 @@ TEST(HoldsFdTest, ExposuresEqualToTenDigitsStayDistinct) {
   EXPECT_TRUE(*HoldsFd(t, "state", "same"));
 }
 
+// Two int64 exposures above 2^53 widen to one double, but they are two
+// values: one string value over both does not pin the exposure down.
+TEST(HoldsFdTest, Int64ExposuresAbove2To53StayDistinct) {
+  const int64_t a = int64_t{1} << 53;
+  const int64_t b = a + 1;
+  ASSERT_EQ(static_cast<double>(a), static_cast<double>(b));
+  table::Table t("t");
+  CDI_CHECK(t.AddColumn(table::Column::FromStrings("state", {"MA", "MA"}))
+                .ok());
+  CDI_CHECK(t.AddColumn(table::Column::FromInts("near", {a, b})).ok());
+  CDI_CHECK(t.AddColumn(table::Column::FromInts("same", {b, b})).ok());
+  EXPECT_FALSE(*HoldsFd(t, "state", "near"));
+  EXPECT_TRUE(*HoldsFd(t, "state", "same"));
+  EXPECT_TRUE(*HoldsFd(t, "near", "state"));
+}
+
 // ---------------------------------------------------------- DataOrganizer
 
 table::Table OrganizerInput(std::size_t n, uint64_t seed,

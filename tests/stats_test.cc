@@ -336,8 +336,7 @@ TEST(DescriptiveTest, SpearmanRobustToMonotoneTransform) {
 
 // SpearmanFromOrders reads average ranks off presorted orders filtered to
 // the pairwise-complete rows; it must reproduce SpearmanCorrelation's bits
-// with ties, signed zeros, infinities and NaNs on either side. When neither
-// side has a NaN, so must the Pearson correlation of RanksFromOrder.
+// with ties, signed zeros, infinities and NaNs on either side.
 TEST(DescriptiveTest, SpearmanFromOrdersMatchesSpearmanBitForBit) {
   const double kNaN = std::nan("");
   auto draw = [](Rng& rng, bool ties) {
@@ -351,7 +350,7 @@ TEST(DescriptiveTest, SpearmanFromOrdersMatchesSpearmanBitForBit) {
     return b;
   };
   Rng rng(2024);
-  std::size_t finite = 0, complete = 0;
+  std::size_t finite = 0;
   for (std::size_t n : {0, 1, 2, 3, 5, 17, 100, 500}) {
     for (int trial = 0; trial < 40; ++trial) {
       const bool x_ties = trial % 2 == 0, y_ties = trial % 3 == 0;
@@ -369,20 +368,9 @@ TEST(DescriptiveTest, SpearmanFromOrdersMatchesSpearmanBitForBit) {
         EXPECT_EQ(bits(want), bits(got)) << want << " vs " << got;
         ++finite;
       }
-      if (x_nan == 0.0 && y_nan == 0.0) {
-        const double ranked =
-            PearsonCorrelation(RanksFromOrder(x, RankOrder(x)),
-                               RanksFromOrder(y, RankOrder(y)));
-        EXPECT_EQ(std::isnan(want), std::isnan(ranked)) << "n=" << n;
-        if (!std::isnan(want)) {
-          EXPECT_EQ(bits(want), bits(ranked)) << want << " vs " << ranked;
-          ++complete;
-        }
-      }
     }
   }
   EXPECT_GT(finite, 150u);
-  EXPECT_GT(complete, 50u);
   // Mismatched lengths are NaN, as for SpearmanCorrelation.
   const std::vector<double> a = {1, 2, 3}, b = {1, 2};
   EXPECT_TRUE(std::isnan(SpearmanFromOrders(a, RankOrder(a), b, RankOrder(b))));

@@ -86,7 +86,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -129,7 +128,7 @@ struct Args {
 };
 
 /// Ceilings of the loadgen-only count flags (the shared ones live beside
-/// ParseBoundedCount).
+/// ParseCountFlag).
 constexpr std::uint64_t kMaxRequestsFlag = 1000000;      // per client
 constexpr std::uint64_t kMaxDistinctFlag = 10000;        // (T, O) pairs
 constexpr std::uint64_t kMaxChurnBatchesFlag = 10000;
@@ -148,45 +147,54 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+/// Every count flag is digits only, within its floor and ceiling, checked
+/// here, before any scenario, thread or queue exists.
 bool ParseArgs(int argc, char** argv, Args* args) {
   using cdi::serve::kMaxGenerateEntities;
+  using cdi::serve::kMaxMemoryBudgetKbFlag;
+  using cdi::serve::kMaxQueueDepthFlag;
+  using cdi::serve::kMaxRegistryShardsFlag;
   using cdi::serve::kMaxThreadsFlag;
+  using cdi::serve::ParseCountFlag;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
-    // A count flag: digits only and at most `ceiling`, checked here, before
-    // any scenario, thread or queue exists.
-    auto count = [&](const char* v, std::uint64_t ceiling, auto* out) {
-      auto parsed = cdi::serve::ParseBoundedCount(flag.substr(2), v, ceiling);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "%s: %s\n", flag.c_str(),
-                     parsed.status().message().c_str());
-        return false;
-      }
-      *out = static_cast<std::remove_reference_t<decltype(*out)>>(*parsed);
-      return true;
-    };
     const char* v = nullptr;
     if (flag == "--scenario" && (v = next())) {
       args->scenario = v;
     } else if (flag == "--entities" && (v = next())) {
-      if (!count(v, kMaxGenerateEntities, &args->entities)) return false;
+      if (!ParseCountFlag(flag, v, 0, kMaxGenerateEntities,
+                          &args->entities)) {
+        return false;
+      }
     } else if (flag == "--clients" && (v = next())) {
-      if (!count(v, kMaxThreadsFlag, &args->clients)) return false;
+      if (!ParseCountFlag(flag, v, 0, kMaxThreadsFlag, &args->clients)) {
+        return false;
+      }
     } else if (flag == "--requests" && (v = next())) {
-      if (!count(v, kMaxRequestsFlag, &args->requests)) return false;
+      if (!ParseCountFlag(flag, v, 0, kMaxRequestsFlag, &args->requests)) {
+        return false;
+      }
     } else if (flag == "--workers" && (v = next())) {
-      if (!count(v, kMaxThreadsFlag, &args->workers)) return false;
+      if (!ParseCountFlag(flag, v, 0, kMaxThreadsFlag, &args->workers)) {
+        return false;
+      }
     } else if (flag == "--queue-depth" && (v = next())) {
-      if (!count(v, cdi::serve::kMaxQueueDepthFlag, &args->queue_depth)) {
+      // A zero-depth queue sheds every request, so no client could finish.
+      if (!ParseCountFlag(flag, v, 1, kMaxQueueDepthFlag,
+                          &args->queue_depth)) {
         return false;
       }
     } else if (flag == "--distinct" && (v = next())) {
-      if (!count(v, kMaxDistinctFlag, &args->distinct)) return false;
+      if (!ParseCountFlag(flag, v, 0, kMaxDistinctFlag, &args->distinct)) {
+        return false;
+      }
     } else if (flag == "--seed" && (v = next())) {
-      if (!count(v, std::numeric_limits<std::uint64_t>::max(), &args->seed)) {
+      if (!ParseCountFlag(flag, v, 0,
+                          std::numeric_limits<std::uint64_t>::max(),
+                          &args->seed)) {
         return false;
       }
     } else if (flag == "--min-hit-rate" && (v = next())) {
@@ -200,11 +208,18 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--summarize-mix") {
       args->summarize_mix = true;
     } else if (flag == "--churn-rows" && (v = next())) {
-      if (!count(v, kMaxGenerateEntities, &args->churn_rows)) return false;
+      if (!ParseCountFlag(flag, v, 0, kMaxGenerateEntities,
+                          &args->churn_rows)) {
+        return false;
+      }
     } else if (flag == "--churn-batches" && (v = next())) {
-      if (!count(v, kMaxChurnBatchesFlag, &args->churn_batches)) return false;
+      if (!ParseCountFlag(flag, v, 0, kMaxChurnBatchesFlag,
+                          &args->churn_batches)) {
+        return false;
+      }
     } else if (flag == "--scenarios" && (v = next())) {
-      if (!count(v, kMaxGridScenariosFlag, &args->grid_scenarios)) {
+      if (!ParseCountFlag(flag, v, 0, kMaxGridScenariosFlag,
+                          &args->grid_scenarios)) {
         return false;
       }
     } else if (flag == "--skew" && (v = next())) {
@@ -212,13 +227,13 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--zipf-s" && (v = next())) {
       args->zipf_s = std::atof(v);
     } else if (flag == "--registry-shards" && (v = next())) {
-      if (!count(v, cdi::serve::kMaxRegistryShardsFlag,
-                 &args->registry_shards)) {
+      if (!ParseCountFlag(flag, v, 0, kMaxRegistryShardsFlag,
+                          &args->registry_shards)) {
         return false;
       }
     } else if (flag == "--memory-budget-kb" && (v = next())) {
-      if (!count(v, cdi::serve::kMaxMemoryBudgetKbFlag,
-                 &args->memory_budget_kb)) {
+      if (!ParseCountFlag(flag, v, 0, kMaxMemoryBudgetKbFlag,
+                          &args->memory_budget_kb)) {
         return false;
       }
     } else {
@@ -233,11 +248,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   if (args->grid_scenarios > 0 && (args->sweep || args->churn_rows > 0)) {
     std::fprintf(stderr,
                  "--scenarios (grid mode) excludes --sweep/--churn-rows\n");
-    return false;
-  }
-  if (args->queue_depth == 0) {
-    // A zero-depth queue sheds every request, so no client could finish.
-    std::fprintf(stderr, "--queue-depth must be >= 1\n");
     return false;
   }
   if (args->skew != "zipf" && args->skew != "uniform") {

@@ -69,7 +69,6 @@
 #include <iostream>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/string_util.h"
@@ -107,60 +106,57 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+/// Every count flag is digits only, within its floor and ceiling, checked
+/// here, before any thread, queue or shard exists.
 bool ParseArgs(int argc, char** argv, Args* args) {
+  using cdi::serve::kMaxGenerateEntities;
+  using cdi::serve::kMaxMemoryBudgetKbFlag;
+  using cdi::serve::kMaxQueueDepthFlag;
+  using cdi::serve::kMaxRegistryShardsFlag;
+  using cdi::serve::kMaxThreadsFlag;
+  using cdi::serve::ParseCountFlag;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
-    // A size flag: digits only and at most `ceiling`, checked here, before
-    // any thread, queue or shard exists.
-    auto count = [&](const char* v, std::uint64_t ceiling, auto* out) {
-      auto parsed = cdi::serve::ParseBoundedCount(flag.substr(2), v, ceiling);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "%s: %s\n", flag.c_str(),
-                     parsed.status().message().c_str());
-        return false;
-      }
-      *out = static_cast<std::remove_reference_t<decltype(*out)>>(*parsed);
-      return true;
-    };
     const char* v = nullptr;
     if (flag == "--workers" && (v = next())) {
-      if (!count(v, cdi::serve::kMaxThreadsFlag, &args->workers)) return false;
+      if (!ParseCountFlag(flag, v, 0, kMaxThreadsFlag, &args->workers)) {
+        return false;
+      }
     } else if (flag == "--queue-depth" && (v = next())) {
-      if (!count(v, cdi::serve::kMaxQueueDepthFlag, &args->queue_depth)) {
+      // A zero-depth queue would shed every request.
+      if (!ParseCountFlag(flag, v, 1, kMaxQueueDepthFlag,
+                          &args->queue_depth)) {
         return false;
       }
     } else if (flag == "--pipeline-threads" && (v = next())) {
-      if (!count(v, cdi::serve::kMaxThreadsFlag, &args->pipeline_threads)) {
+      if (!ParseCountFlag(flag, v, 0, kMaxThreadsFlag,
+                          &args->pipeline_threads)) {
         return false;
       }
     } else if (flag == "--entities" && (v = next())) {
-      if (!count(v, cdi::serve::kMaxGenerateEntities, &args->entities)) {
+      if (!ParseCountFlag(flag, v, 0, kMaxGenerateEntities,
+                          &args->entities)) {
         return false;
       }
     } else if (flag == "--scenarios" && (v = next())) {
       args->scenarios = cdi::Split(v, ',');
     } else if (flag == "--registry-shards" && (v = next())) {
-      if (!count(v, cdi::serve::kMaxRegistryShardsFlag,
-                 &args->registry_shards)) {
+      if (!ParseCountFlag(flag, v, 0, kMaxRegistryShardsFlag,
+                          &args->registry_shards)) {
         return false;
       }
     } else if (flag == "--memory-budget-kb" && (v = next())) {
-      if (!count(v, cdi::serve::kMaxMemoryBudgetKbFlag,
-                 &args->memory_budget_kb)) {
+      if (!ParseCountFlag(flag, v, 0, kMaxMemoryBudgetKbFlag,
+                          &args->memory_budget_kb)) {
         return false;
       }
     } else {
       std::fprintf(stderr, "unknown or incomplete flag: %s\n", flag.c_str());
       return false;
     }
-  }
-  if (args->queue_depth == 0) {
-    // A zero-depth queue sheds every request.
-    std::fprintf(stderr, "--queue-depth must be >= 1\n");
-    return false;
   }
   return !args->scenarios.empty();
 }
