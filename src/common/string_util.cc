@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace cdi {
 
@@ -150,6 +153,90 @@ std::string FormatDouble(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
   return std::string(buf);
+}
+
+namespace {
+
+/// The flag's name as its errors print it: `--workers` -> `workers`.
+std::string FlagName(const std::string& flag) {
+  return flag.rfind("--", 0) == 0 ? flag.substr(2) : flag;
+}
+
+/// Stores a parsed flag value, or prints its error naming the flag.
+template <typename T>
+bool StoreFlag(const std::string& flag, const Result<T>& parsed, T* out) {
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s: %s\n", flag.c_str(),
+                 parsed.status().message().c_str());
+    return false;
+  }
+  *out = *parsed;
+  return true;
+}
+
+}  // namespace
+
+Result<std::uint64_t> ParseBoundedCount(const std::string& what,
+                                        const std::string& value,
+                                        std::uint64_t ceiling) {
+  // strtoull alone would wrap "-1" and stop at the dot of "4.5", so every
+  // character must be a digit; it saturates on overflow, so ERANGE too.
+  bool digits = !value.empty();
+  for (char c : value) digits = digits && c >= '0' && c <= '9';
+  errno = 0;
+  const unsigned long long v =
+      digits ? std::strtoull(value.c_str(), nullptr, 10) : 0;
+  if (!digits || errno == ERANGE) {
+    return Status::InvalidArgument(
+        "bad " + what + " value '" + value +
+        "' (expected a non-negative integer below 2^64)");
+  }
+  if (v > ceiling) {
+    return Status::InvalidArgument(what + "=" + value +
+                                   " exceeds the ceiling of " +
+                                   std::to_string(ceiling));
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
+Result<double> ParseBoundedDouble(const std::string& what,
+                                  const std::string& value, double lo,
+                                  double hi) {
+  char* end = nullptr;
+  // strtod skips leading blanks and reads "nan" and "inf"; none is a
+  // finite number as a whole value.
+  const bool blank =
+      value.empty() || std::isspace(static_cast<unsigned char>(value[0]));
+  const double v = blank ? 0.0 : std::strtod(value.c_str(), &end);
+  if (blank || end != value.c_str() + value.size() || !std::isfinite(v)) {
+    return Status::InvalidArgument("bad " + what + " value '" + value +
+                                   "' (expected a finite number)");
+  }
+  if (v < lo || v > hi) {
+    return Status::InvalidArgument(what + "=" + value + " is outside [" +
+                                   FormatDouble(lo, 2) + ", " +
+                                   FormatDouble(hi, 2) + "]");
+  }
+  return v;
+}
+
+bool ParseCountFlag(const std::string& flag, const char* value,
+                    std::uint64_t floor, std::uint64_t ceiling,
+                    std::uint64_t* out) {
+  const std::string what = FlagName(flag);
+  Result<std::uint64_t> parsed = ParseBoundedCount(what, value, ceiling);
+  if (parsed.ok() && *parsed < floor) {
+    parsed = Status::InvalidArgument(what + "=" + value +
+                                     " is below the floor of " +
+                                     std::to_string(floor));
+  }
+  return StoreFlag(flag, parsed, out);
+}
+
+bool ParseDoubleFlag(const std::string& flag, const char* value, double lo,
+                     double hi, double* out) {
+  return StoreFlag(flag, ParseBoundedDouble(FlagName(flag), value, lo, hi),
+                   out);
 }
 
 }  // namespace cdi

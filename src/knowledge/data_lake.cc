@@ -1,12 +1,10 @@
 #include "knowledge/data_lake.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <unordered_set>
 
 #include "common/string_util.h"
-#include "stats/descriptive.h"
 
 namespace cdi::knowledge {
 
@@ -104,19 +102,6 @@ std::vector<DataLake::Joinable> DataLake::FindJoinableIndexed(
   return out;
 }
 
-std::vector<DataLake::JoinCandidate> DataLake::FindJoinable(
-    const std::vector<std::string>& keys, double min_containment,
-    LatencyMeter* meter) const {
-  std::vector<JoinCandidate> out;
-  for (const Joinable& j :
-       FindJoinableIndexed(ProbeKeys(keys), min_containment, meter)) {
-    out.push_back({j.table_index,
-                   tables_[j.table_index].ColumnAt(j.key->column).name(),
-                   j.containment});
-  }
-  return out;
-}
-
 std::vector<DataLake::JoinedColumn> DataLake::JoinColumns(
     const std::vector<std::string>& keys, double min_containment,
     LatencyMeter* meter) const {
@@ -141,29 +126,6 @@ std::vector<DataLake::JoinedColumn> DataLake::JoinColumns(
       out.push_back(std::move(jc));
     }
   }
-  return out;
-}
-
-Result<std::vector<DataLake::AugmentationCandidate>>
-DataLake::FindCorrelatedColumns(const std::vector<std::string>& keys,
-                                DoubleSpan target,
-                                double min_containment,
-                                LatencyMeter* meter) const {
-  if (keys.size() != target.size()) {
-    return Status::InvalidArgument("keys/target size mismatch");
-  }
-  std::vector<AugmentationCandidate> out;
-  for (const JoinedColumn& jc : JoinColumns(keys, min_containment, meter)) {
-    const double r = stats::PearsonCorrelation(jc.values, target);
-    if (std::isnan(r)) continue;
-    out.push_back({jc.table_index, jc.key_column, jc.value_column,
-                   jc.containment, std::fabs(r)});
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const AugmentationCandidate& a,
-                      const AugmentationCandidate& b) {
-                     return a.abs_correlation > b.abs_correlation;
-                   });
   return out;
 }
 

@@ -6,17 +6,16 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/span.h"
-#include "common/status.h"
 #include "common/timer.h"
 #include "table/table.h"
 
 namespace cdi::knowledge {
 
 /// A corpus of tables standing in for an open-data lake (data.gov, FRED).
-/// Provides the two discovery primitives the paper cites: joinability
-/// search by key containment (JOSIE-style) and correlation-aware column
-/// selection against a target column (COCOA-style).
+/// Provides joinability search by key containment (JOSIE-style): every
+/// numeric column of every joinable table, aligned to the input keys.
+/// Ranking those columns by correlation with a target (COCOA-style) is the
+/// knowledge extractor's lake step.
 ///
 /// Keys join by NormalizeEntityName. A key that normalizes to the empty
 /// string (a null input cell, a lake cell like "-") never joins, on
@@ -41,21 +40,6 @@ class DataLake {
   const std::vector<table::Table>& tables() const { return tables_; }
   std::size_t num_tables() const { return tables_.size(); }
 
-  /// A column in a lake table that can be equi-joined with the input keys.
-  struct JoinCandidate {
-    std::size_t table_index = 0;
-    std::string key_column;
-    /// Fraction of distinct input key values present in the column.
-    double containment = 0.0;
-  };
-
-  /// Finds lake columns whose value set contains at least
-  /// `min_containment` of the distinct values of `keys` (string rendering,
-  /// case-normalized). Results sorted by descending containment.
-  std::vector<JoinCandidate> FindJoinable(
-      const std::vector<std::string>& keys, double min_containment,
-      LatencyMeter* meter = nullptr) const;
-
   /// A numeric lake column joined to the input keys: the column's mean per
   /// key (duplicates and 1:N tables aggregate by mean), one entry per
   /// input key, NaN where the key does not join or has no value.
@@ -63,34 +47,19 @@ class DataLake {
     std::size_t table_index = 0;
     std::string key_column;
     std::string value_column;
+    /// Fraction of the distinct input keys present in the key column.
     double containment = 0.0;
     std::vector<double> values;
   };
 
-  /// Joins every numeric column of every joinable table (containment at
-  /// least `min_containment`) to `keys`, in FindJoinable order and then
-  /// table column order. Charges `meter` once per lake table.
+  /// Joins every numeric column of every joinable key column (one whose
+  /// normalized values contain at least `min_containment` of the distinct
+  /// normalized `keys`) to `keys`. Key columns come in descending
+  /// containment (ties in lake order), each with its table's numeric
+  /// columns in column order. Charges `meter` once per lake table.
   std::vector<JoinedColumn> JoinColumns(const std::vector<std::string>& keys,
                                         double min_containment,
                                         LatencyMeter* meter = nullptr) const;
-
-  /// A joinable numeric column ranked by association with a target.
-  struct AugmentationCandidate {
-    std::size_t table_index = 0;
-    std::string key_column;
-    std::string value_column;
-    double containment = 0.0;
-    /// |Pearson correlation| with the target after the join.
-    double abs_correlation = 0.0;
-  };
-
-  /// COCOA-style search: for every joinable table, joins it (aggregating
-  /// duplicates by mean) against (keys, target) and ranks each numeric
-  /// column by absolute correlation with `target`. Candidates under
-  /// `min_containment` are skipped. Sorted by descending |correlation|.
-  Result<std::vector<AugmentationCandidate>> FindCorrelatedColumns(
-      const std::vector<std::string>& keys, DoubleSpan target,
-      double min_containment, LatencyMeter* meter = nullptr) const;
 
   /// Deterministic heap-byte estimate of the join index, a pure function
   /// of the lake's contents (no capacity slack), for byte-accounted

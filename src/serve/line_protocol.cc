@@ -1,6 +1,5 @@
 #include "serve/line_protocol.h"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -29,19 +28,6 @@ const char* ResponseSourceName(ResponseSource source) {
 
 namespace {
 
-/// Strict unsigned decimal: every character must be a digit (strtoull
-/// alone would wrap "-1" and stop at the dot of "4.5") and the value must
-/// fit in 64 bits (strtoull saturates on overflow).
-bool ParseUnsigned(const std::string& value, unsigned long long* out) {
-  if (value.empty()) return false;
-  for (char c : value) {
-    if (c < '0' || c > '9') return false;
-  }
-  errno = 0;
-  *out = std::strtoull(value.c_str(), nullptr, 10);
-  return errno != ERANGE;
-}
-
 void MixEffect(Fnv1a& h, const core::EffectEstimate& e) {
   h.Mix(e.effect).Mix(e.abs_effect).Mix(e.std_error).Mix(e.p_value);
   h.Mix(static_cast<std::uint64_t>(e.n_used));
@@ -56,42 +42,6 @@ void MixEdges(Fnv1a& h,
 }
 
 }  // namespace
-
-Result<std::uint64_t> ParseBoundedCount(const std::string& what,
-                                        const std::string& value,
-                                        std::uint64_t ceiling) {
-  unsigned long long v = 0;
-  if (!ParseUnsigned(value, &v)) {
-    return Status::InvalidArgument(
-        "bad " + what + " value '" + value +
-        "' (expected a non-negative integer below 2^64)");
-  }
-  if (v > ceiling) {
-    return Status::InvalidArgument(what + "=" + value +
-                                   " exceeds the ceiling of " +
-                                   std::to_string(ceiling));
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-bool ParseCountFlag(const std::string& flag, const char* value,
-                    std::uint64_t floor, std::uint64_t ceiling,
-                    std::uint64_t* out) {
-  const std::string what = flag.rfind("--", 0) == 0 ? flag.substr(2) : flag;
-  Result<std::uint64_t> parsed = ParseBoundedCount(what, value, ceiling);
-  if (parsed.ok() && *parsed < floor) {
-    parsed = Status::InvalidArgument(what + "=" + value +
-                                     " is below the floor of " +
-                                     std::to_string(floor));
-  }
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s: %s\n", flag.c_str(),
-                 parsed.status().message().c_str());
-    return false;
-  }
-  *out = *parsed;
-  return true;
-}
 
 std::uint64_t ResultFingerprint(const core::PipelineResult& result) {
   Fnv1a h("cdi::serve::ResultFingerprint/v1");
@@ -447,12 +397,10 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
     while (in >> arg) {
       if (arg.rfind("k=", 0) == 0) {
         const std::string value = arg.substr(2);
-        unsigned long long v = 0;
-        if (!ParseUnsigned(value, &v)) {
-          return Status::InvalidArgument(
-              "bad k value '" + value +
-              "' (expected a non-negative integer)");
-        }
+        CDI_ASSIGN_OR_RETURN(
+            const std::uint64_t v,
+            ParseBoundedCount("k", value,
+                              std::numeric_limits<std::size_t>::max()));
         if (v < 2) {
           return Status::InvalidArgument(
               "summary budget k must be at least 2 (got " + value + ")");

@@ -121,39 +121,11 @@ struct ServerCommand {
 /// an allocation request a client can make the server die on.
 inline constexpr std::size_t kMaxGenerateEntities = 100000;
 
-/// Parses a count named `what`, as `generate entities=` / `seed=` and the
-/// count flags of `cdi_serve` and `cdi_loadgen` take it: a plain
-/// non-negative integer (digits only, no sign or fraction, no 64-bit
-/// overflow) at most `ceiling`. kInvalidArgument naming `what` and the bad
-/// value otherwise.
-Result<std::uint64_t> ParseBoundedCount(const std::string& what,
-                                        const std::string& value,
-                                        std::uint64_t ceiling);
-
-/// Parses the value of the count flag `flag` (as `--workers`) of
-/// `cdi_serve` or `cdi_loadgen`: ParseBoundedCount with the flag's name,
-/// plus a floor. On a bad value prints the error to stderr, naming the
-/// flag, and returns false; `*out` is written only on success.
-bool ParseCountFlag(const std::string& flag, const char* value,
-                    std::uint64_t floor, std::uint64_t ceiling,
-                    std::uint64_t* out);
-
-/// ParseCountFlag into a narrower field; `ceiling` must fit in T.
-template <typename T>
-bool ParseCountFlag(const std::string& flag, const char* value,
-                    std::uint64_t floor, std::uint64_t ceiling, T* out) {
-  std::uint64_t v = 0;
-  if (!ParseCountFlag(flag, value, floor, ceiling, &v)) return false;
-  *out = static_cast<T>(v);
-  return true;
-}
-
 /// Ceilings of the size flags `cdi_serve` and `cdi_loadgen` parse with
-/// ParseCountFlag (`--entities` takes kMaxGenerateEntities). Each flag
-/// sizes threads, queue slots, shards or a byte budget before anything is
-/// served, so a wrapped or absurd value is a usage error, never an
-/// allocation request.
-inline constexpr std::uint64_t kMaxThreadsFlag = 256;
+/// ParseCountFlag (`--entities` takes kMaxGenerateEntities, the thread
+/// counts kMaxThreadsFlag). Each flag sizes queue slots, shards or a byte
+/// budget before anything is served, so a wrapped or absurd value is a
+/// usage error, never an allocation request.
 inline constexpr std::uint64_t kMaxQueueDepthFlag = 1u << 20;
 inline constexpr std::uint64_t kMaxRegistryShardsFlag = 1024;
 /// 2^40 KiB = 1 PiB; far below where the flag's * 1024 would wrap.

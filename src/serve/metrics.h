@@ -97,10 +97,6 @@ struct MetricsSnapshot {
                      static_cast<double>(served);
   }
 
-  double LatencyQuantileSeconds(double q) const {
-    return latency.Quantile(q);
-  }
-
   /// Counter-wise difference `*this - earlier` (queue high-water is taken
   /// from `*this`; it is a running maximum, not a rate).
   MetricsSnapshot Since(const MetricsSnapshot& earlier) const;

@@ -91,38 +91,6 @@ double QuantileFromOrder(DoubleSpan x, const std::vector<std::size_t>& order,
   return x[order[p.lo]] * (1.0 - p.frac) + x[order[p.hi]] * p.frac;
 }
 
-double Skewness(DoubleSpan x) {
-  auto v = ValidValues(x);
-  if (v.size() < 3) return kNaN;
-  const double m = Mean(v);
-  double m2 = 0, m3 = 0;
-  for (double xi : v) {
-    const double d = xi - m;
-    m2 += d * d;
-    m3 += d * d * d;
-  }
-  m2 /= static_cast<double>(v.size());
-  m3 /= static_cast<double>(v.size());
-  if (m2 <= 0) return 0.0;
-  return m3 / std::pow(m2, 1.5);
-}
-
-double ExcessKurtosis(DoubleSpan x) {
-  auto v = ValidValues(x);
-  if (v.size() < 4) return kNaN;
-  const double m = Mean(v);
-  double m2 = 0, m4 = 0;
-  for (double xi : v) {
-    const double d = xi - m;
-    m2 += d * d;
-    m4 += d * d * d * d;
-  }
-  m2 /= static_cast<double>(v.size());
-  m4 /= static_cast<double>(v.size());
-  if (m2 <= 0) return 0.0;
-  return m4 / (m2 * m2) - 3.0;
-}
-
 double WeightedMean(DoubleSpan x,
                     DoubleSpan w) {
   if (x.size() != w.size()) return kNaN;

@@ -45,12 +45,6 @@ QuantilePosition QuantileAt(std::size_t n, double q);
 double QuantileFromOrder(DoubleSpan x, const std::vector<std::size_t>& order,
                          double q);
 
-/// Sample skewness (Fisher-Pearson, bias-unadjusted).
-double Skewness(DoubleSpan x);
-
-/// Excess kurtosis.
-double ExcessKurtosis(DoubleSpan x);
-
 /// Weighted mean; entries with NaN value or weight are skipped.
 double WeightedMean(DoubleSpan x,
                     DoubleSpan w);

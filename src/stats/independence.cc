@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <string>
 
 #include "stats/descriptive.h"
@@ -54,21 +53,18 @@ struct CrossTab {
   double cramers_v = 0.0;
 };
 
-/// Cross-tabulates x against y over `rows` (every row when null), skipping
-/// rows with a missing code, and, when both sides have at least two
-/// distinct codes, computes the table's chi-square statistic, degrees of
-/// freedom and Cramer's V. Codes get dense ids in first-appearance order
-/// and the statistic is summed over (x id, y id) in that order, so the
-/// floating-point sum is fixed by the data alone.
+/// Cross-tabulates x against y, skipping rows with a missing code, and,
+/// when both sides have at least two distinct codes, computes the table's
+/// chi-square statistic, degrees of freedom and Cramer's V. Codes get
+/// dense ids in first-appearance order and the statistic is summed over
+/// (x id, y id) in that order, so the floating-point sum is fixed by the
+/// data alone.
 Result<CrossTab> CrossTabulate(const std::vector<int>& x,
-                               const std::vector<int>& y,
-                               const std::vector<std::size_t>* rows) {
-  const std::size_t n = rows == nullptr ? x.size() : rows->size();
-  auto row_at = [&](std::size_t k) { return rows == nullptr ? k : (*rows)[k]; };
+                               const std::vector<int>& y) {
+  const std::size_t n = x.size();
   CrossTab tab;
   int max_x = -1, max_y = -1;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = row_at(k);
+  for (std::size_t i = 0; i < n; ++i) {
     if (x[i] < 0 || y[i] < 0) continue;
     max_x = std::max(max_x, x[i]);
     max_y = std::max(max_y, y[i]);
@@ -80,8 +76,7 @@ Result<CrossTab> CrossTabulate(const std::vector<int>& x,
   }
   SmallBuffer<int, kInlineCodes> id_x(static_cast<std::size_t>(max_x + 1), -1);
   SmallBuffer<int, kInlineCodes> id_y(static_cast<std::size_t>(max_y + 1), -1);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = row_at(k);
+  for (std::size_t i = 0; i < n; ++i) {
     if (x[i] < 0 || y[i] < 0) continue;
     if (id_x[x[i]] < 0) id_x[x[i]] = static_cast<int>(tab.kx++);
     if (id_y[y[i]] < 0) id_y[y[i]] = static_cast<int>(tab.ky++);
@@ -90,8 +85,7 @@ Result<CrossTab> CrossTabulate(const std::vector<int>& x,
 
   const std::size_t kx = tab.kx, ky = tab.ky;
   SmallBuffer<std::size_t, kInlineCodes * kInlineCodes> counts(kx * ky, 0);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = row_at(k);
+  for (std::size_t i = 0; i < n; ++i) {
     if (x[i] < 0 || y[i] < 0) continue;
     ++counts[static_cast<std::size_t>(id_x[x[i]]) * ky +
              static_cast<std::size_t>(id_y[y[i]])];
@@ -126,7 +120,7 @@ Result<CrossTab> CrossTabulate(const std::vector<int>& x,
 Result<IndependenceResult> ChiSquareIndependence(const std::vector<int>& x,
                                                  const std::vector<int>& y) {
   if (x.size() != y.size()) return Status::InvalidArgument("size mismatch");
-  CDI_ASSIGN_OR_RETURN(const CrossTab tab, CrossTabulate(x, y, nullptr));
+  CDI_ASSIGN_OR_RETURN(const CrossTab tab, CrossTabulate(x, y));
   if (tab.rows < 2) return Status::FailedPrecondition("too few rows");
   IndependenceResult r;
   // A constant variable is trivially independent of anything.
@@ -135,78 +129,6 @@ Result<IndependenceResult> ChiSquareIndependence(const std::vector<int>& x,
   r.strength = tab.cramers_v;
   r.p_value = ChiSquareSf(r.statistic, tab.dof);
   return r;
-}
-
-Result<IndependenceResult> ConditionalChiSquare(
-    const std::vector<int>& x, const std::vector<int>& y,
-    const std::vector<std::vector<int>>& z, std::size_t min_stratum) {
-  if (z.empty()) return ChiSquareIndependence(x, y);
-  if (x.size() != y.size()) return Status::InvalidArgument("size mismatch");
-  for (const auto& zc : z) {
-    if (zc.size() != x.size()) {
-      return Status::InvalidArgument("conditioning size mismatch");
-    }
-  }
-  // Stratify by the joint code of z. Strata get dense ids in
-  // first-appearance order and are summed in that order, so the total's
-  // bits depend on the data alone.
-  std::map<std::vector<int>, std::size_t> stratum_of;
-  std::vector<std::vector<std::size_t>> strata;
-  std::vector<int> key(z.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] < 0 || y[i] < 0) continue;
-    bool missing = false;
-    for (std::size_t k = 0; k < z.size(); ++k) {
-      if (z[k][i] < 0) {
-        missing = true;
-        break;
-      }
-      key[k] = z[k][i];
-    }
-    if (missing) continue;
-    const auto [it, inserted] = stratum_of.emplace(key, strata.size());
-    if (inserted) strata.emplace_back();
-    strata[it->second].push_back(i);
-  }
-  double total_stat = 0, total_dof = 0;
-  double strength_num = 0, strength_den = 0;
-  for (const auto& rows : strata) {
-    if (rows.size() < min_stratum) continue;
-    CDI_ASSIGN_OR_RETURN(const CrossTab tab, CrossTabulate(x, y, &rows));
-    if (tab.kx < 2 || tab.ky < 2) continue;
-    total_stat += tab.statistic;
-    total_dof += tab.dof;
-    strength_num += tab.cramers_v * static_cast<double>(rows.size());
-    strength_den += static_cast<double>(rows.size());
-  }
-  IndependenceResult r;
-  r.statistic = total_stat;
-  r.p_value = total_dof > 0 ? ChiSquareSf(total_stat, total_dof) : 1.0;
-  r.strength = strength_den > 0 ? strength_num / strength_den : 0.0;
-  return r;
-}
-
-double DiscreteMutualInformation(const std::vector<int>& x,
-                                 const std::vector<int>& y) {
-  std::map<std::pair<int, int>, double> joint;
-  std::map<int, double> px, py;
-  double n = 0;
-  for (std::size_t i = 0; i < std::min(x.size(), y.size()); ++i) {
-    if (x[i] < 0 || y[i] < 0) continue;
-    joint[{x[i], y[i]}] += 1;
-    px[x[i]] += 1;
-    py[y[i]] += 1;
-    n += 1;
-  }
-  if (n <= 0) return 0.0;
-  double mi = 0;
-  for (const auto& [xy, c] : joint) {
-    const double pxy = c / n;
-    const double p1 = px[xy.first] / n;
-    const double p2 = py[xy.second] / n;
-    mi += pxy * std::log(pxy / (p1 * p2));
-  }
-  return std::max(0.0, mi);
 }
 
 std::vector<int> QuantileBin(DoubleSpan x, int bins) {

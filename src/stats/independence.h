@@ -27,19 +27,6 @@ struct IndependenceResult {
 Result<IndependenceResult> ChiSquareIndependence(
     const std::vector<int>& x, const std::vector<int>& y);
 
-/// Conditional chi-square test of X ⟂ Y | Z: statistic and degrees of
-/// freedom sum over the strata of the (joint) conditioning codes, in the
-/// order each stratum first appears. Strata with fewer than `min_stratum`
-/// rows are skipped.
-Result<IndependenceResult> ConditionalChiSquare(
-    const std::vector<int>& x, const std::vector<int>& y,
-    const std::vector<std::vector<int>>& z, std::size_t min_stratum = 5);
-
-/// Plug-in discrete mutual information I(X; Y) in nats (missing codes
-/// skipped pairwise).
-double DiscreteMutualInformation(const std::vector<int>& x,
-                                 const std::vector<int>& y);
-
 /// Quantile-bins a numeric vector into `bins` integer codes (NaN -> -1):
 /// a value's code is the number of the `bins - 1` equally spaced
 /// Quantile edges it exceeds.

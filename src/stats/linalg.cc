@@ -262,11 +262,4 @@ Result<std::vector<double>> WeightedLeastSquares(const Matrix& x,
   return SolveNormalEquations(std::move(xtx), xty, ridge);
 }
 
-Result<double> LogDetSpd(const Matrix& a) {
-  CDI_ASSIGN_OR_RETURN(Matrix l, Cholesky(a));
-  double s = 0;
-  for (std::size_t i = 0; i < a.rows(); ++i) s += std::log(l(i, i));
-  return 2.0 * s;
-}
-
 }  // namespace cdi::stats

@@ -61,9 +61,6 @@ Result<std::vector<double>> WeightedLeastSquares(
     const Matrix& x, const std::vector<double>& y,
     const std::vector<double>& w, double ridge = 1e-9);
 
-/// log(det(A)) for symmetric positive-definite A (via Cholesky).
-Result<double> LogDetSpd(const Matrix& a);
-
 }  // namespace cdi::stats
 
 #endif  // CDI_STATS_LINALG_H_

@@ -170,23 +170,6 @@ Table Table::TakeRows(const std::vector<std::size_t>& rows) const {
   return out;
 }
 
-Table Table::FilterRows(const std::function<bool(std::size_t)>& pred) const {
-  std::vector<std::size_t> keep;
-  for (std::size_t r = 0; r < num_rows(); ++r) {
-    if (pred(r)) keep.push_back(r);
-  }
-  return TakeRows(keep);
-}
-
-Table Table::DropNullRows() const {
-  return FilterRows([this](std::size_t r) {
-    for (const auto& c : columns_) {
-      if (c.IsNull(r)) return false;
-    }
-    return true;
-  });
-}
-
 Table Table::Head(std::size_t n) const {
   std::vector<std::size_t> rows;
   for (std::size_t r = 0; r < std::min(n, num_rows()); ++r) rows.push_back(r);

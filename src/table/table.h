@@ -1,7 +1,6 @@
 #ifndef CDI_TABLE_TABLE_H_
 #define CDI_TABLE_TABLE_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -84,12 +83,6 @@ class Table {
 
   /// New table with the given rows (indices may repeat / reorder).
   Table TakeRows(const std::vector<std::size_t>& rows) const;
-
-  /// New table with rows where `pred(row_index)` is true.
-  Table FilterRows(const std::function<bool(std::size_t)>& pred) const;
-
-  /// New table with rows having no null in any column.
-  Table DropNullRows() const;
 
   /// First `n` rows.
   Table Head(std::size_t n) const;

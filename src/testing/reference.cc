@@ -132,57 +132,6 @@ Result<stats::IndependenceResult> ReferenceChiSquareIndependence(
   return r;
 }
 
-Result<stats::IndependenceResult> ReferenceConditionalChiSquare(
-    const std::vector<int>& x, const std::vector<int>& y,
-    const std::vector<std::vector<int>>& z, std::size_t min_stratum) {
-  if (z.empty()) return ReferenceChiSquareIndependence(x, y);
-  if (x.size() != y.size()) return Status::InvalidArgument("size mismatch");
-  for (const auto& zc : z) {
-    if (zc.size() != x.size()) {
-      return Status::InvalidArgument("conditioning size mismatch");
-    }
-  }
-  std::map<std::string, std::size_t> stratum_of;
-  std::vector<std::vector<std::size_t>> strata;  // first-appearance order
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] < 0 || y[i] < 0) continue;
-    bool missing = false;
-    std::string key;
-    for (const auto& zc : z) {
-      if (zc[i] < 0) {
-        missing = true;
-        break;
-      }
-      key += std::to_string(zc[i]) + ",";
-    }
-    if (missing) continue;
-    const auto [it, inserted] = stratum_of.emplace(key, strata.size());
-    if (inserted) strata.emplace_back();
-    strata[it->second].push_back(i);
-  }
-  double total_stat = 0, total_dof = 0;
-  double strength_num = 0, strength_den = 0;
-  for (const auto& rows : strata) {
-    if (rows.size() < min_stratum) continue;
-    std::vector<int> xs, ys;
-    for (std::size_t i : rows) {
-      xs.push_back(x[i]);
-      ys.push_back(y[i]);
-    }
-    double stat = 0, dof = 0, v = 0;
-    if (!DenseChiSquare(xs, ys, &stat, &dof, &v)) continue;
-    total_stat += stat;
-    total_dof += dof;
-    strength_num += v * static_cast<double>(rows.size());
-    strength_den += static_cast<double>(rows.size());
-  }
-  stats::IndependenceResult r;
-  r.statistic = total_stat;
-  r.p_value = total_dof > 0 ? stats::ChiSquareSf(total_stat, total_dof) : 1.0;
-  r.strength = strength_den > 0 ? strength_num / strength_den : 0.0;
-  return r;
-}
-
 std::vector<int> ReferenceQuantileBin(DoubleSpan x, int bins) {
   std::vector<double> edges;
   for (int b = 1; b < bins; ++b) {
@@ -214,9 +163,17 @@ std::set<std::string> NormalizedValueSet(const table::Column& col) {
   return out;
 }
 
-}  // namespace
+/// A string column of a lake table that joins the input keys.
+struct JoinCandidate {
+  std::size_t table_index = 0;
+  std::string key_column;
+  double containment = 0.0;
+};
 
-std::vector<DataLake::JoinCandidate> ReferenceFindJoinable(
+/// Every string column whose normalized value set contains at least
+/// `min_containment` of the distinct normalized keys, by descending
+/// containment.
+std::vector<JoinCandidate> ReferenceFindJoinable(
     const DataLake& lake, const std::vector<std::string>& keys,
     double min_containment) {
   std::set<std::string> key_set;
@@ -224,7 +181,7 @@ std::vector<DataLake::JoinCandidate> ReferenceFindJoinable(
     std::string key = NormalizeEntityName(k);
     if (!key.empty()) key_set.insert(std::move(key));
   }
-  std::vector<DataLake::JoinCandidate> out;
+  std::vector<JoinCandidate> out;
   if (key_set.empty()) return out;
   for (std::size_t t = 0; t < lake.num_tables(); ++t) {
     const table::Table& table = lake.tables()[t];
@@ -242,12 +199,13 @@ std::vector<DataLake::JoinCandidate> ReferenceFindJoinable(
     }
   }
   std::stable_sort(out.begin(), out.end(),
-                   [](const DataLake::JoinCandidate& a,
-                      const DataLake::JoinCandidate& b) {
+                   [](const JoinCandidate& a, const JoinCandidate& b) {
                      return a.containment > b.containment;
                    });
   return out;
 }
+
+}  // namespace
 
 std::vector<DataLake::JoinedColumn> ReferenceJoinColumns(
     const DataLake& lake, const std::vector<std::string>& keys,
@@ -282,28 +240,6 @@ std::vector<DataLake::JoinedColumn> ReferenceJoinColumns(
                      jc.containment, std::move(aligned)});
     }
   }
-  return out;
-}
-
-Result<std::vector<DataLake::AugmentationCandidate>>
-ReferenceFindCorrelatedColumns(const DataLake& lake,
-                               const std::vector<std::string>& keys,
-                               DoubleSpan target, double min_containment) {
-  if (keys.size() != target.size()) {
-    return Status::InvalidArgument("keys/target size mismatch");
-  }
-  std::vector<DataLake::AugmentationCandidate> out;
-  for (const auto& jc : ReferenceJoinColumns(lake, keys, min_containment)) {
-    const double r = stats::PearsonCorrelation(jc.values, target);
-    if (std::isnan(r)) continue;
-    out.push_back({jc.table_index, jc.key_column, jc.value_column,
-                   jc.containment, std::fabs(r)});
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const DataLake::AugmentationCandidate& a,
-                      const DataLake::AugmentationCandidate& b) {
-                     return a.abs_correlation > b.abs_correlation;
-                   });
   return out;
 }
 

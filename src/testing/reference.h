@@ -25,37 +25,21 @@ Result<double> ReferencePartialCorrelation(
 /// The chi-square kernels as they were before the flat count table: codes
 /// densified through a std::map in first-appearance order, a
 /// vector-of-vectors table, and Quantile (a sorted copy) per bin edge.
-/// stats::ChiSquareIndependence, ConditionalChiSquare and both QuantileBin
-/// forms must agree with them to the bit: statistic, p-value, strength
-/// and every code. Both conditional forms sum strata in first-appearance
-/// order.
+/// stats::ChiSquareIndependence and both QuantileBin forms must agree with
+/// them to the bit: statistic, p-value, strength and every code.
 Result<stats::IndependenceResult> ReferenceChiSquareIndependence(
     const std::vector<int>& x, const std::vector<int>& y);
 
-Result<stats::IndependenceResult> ReferenceConditionalChiSquare(
-    const std::vector<int>& x, const std::vector<int>& y,
-    const std::vector<std::vector<int>>& z, std::size_t min_stratum = 5);
-
 std::vector<int> ReferenceQuantileBin(DoubleSpan x, int bins);
 
-/// Scan references for the data lake's indexed searches: each call
-/// normalizes and aggregates every lake row afresh, as the lake did before
-/// it kept a join index. Keys follow the lake's rule that an empty
-/// normalized key never joins and never counts toward containment.
-/// DataLake::FindJoinable / JoinColumns / FindCorrelatedColumns must agree
-/// with them exactly, every containment and aligned double included.
-std::vector<knowledge::DataLake::JoinCandidate> ReferenceFindJoinable(
-    const knowledge::DataLake& lake, const std::vector<std::string>& keys,
-    double min_containment);
-
+/// Scan reference for DataLake::JoinColumns: each call normalizes and
+/// aggregates every lake row afresh, as the lake did before it kept a join
+/// index. Keys follow the lake's rule that an empty normalized key never
+/// joins and never counts toward containment. JoinColumns must agree with
+/// it exactly, every containment and aligned double included.
 std::vector<knowledge::DataLake::JoinedColumn> ReferenceJoinColumns(
     const knowledge::DataLake& lake, const std::vector<std::string>& keys,
     double min_containment);
-
-Result<std::vector<knowledge::DataLake::AugmentationCandidate>>
-ReferenceFindCorrelatedColumns(const knowledge::DataLake& lake,
-                               const std::vector<std::string>& keys,
-                               DoubleSpan target, double min_containment);
 
 /// table::Table::DistinctRows as it was before the hashed arena: one heap
 /// string per row in a std::unordered_set, and TakeRows even when every

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -292,6 +293,37 @@ TEST(StringUtilTest, JaroWinklerPrefixBonus) {
 TEST(StringUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(0.456789, 2), "0.46");
   EXPECT_EQ(FormatDouble(1.0, 3), "1.000");
+}
+
+TEST(StringUtilTest, ParseBoundedCountIsDigitsOnlyUnderACeiling) {
+  EXPECT_EQ(*ParseBoundedCount("n", "0", 10), 0u);
+  EXPECT_EQ(*ParseBoundedCount("n", "10", 10), 10u);
+  EXPECT_EQ(*ParseBoundedCount("n", "18446744073709551615", UINT64_MAX),
+            UINT64_MAX);
+  for (const char* bad : {"", "-1", "+1", " 1", "1.5", "4x", "abc",
+                          "18446744073709551616"}) {
+    const auto r = ParseBoundedCount("n", bad, UINT64_MAX);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(r.status().message().find("bad n value"), std::string::npos)
+        << bad;
+  }
+  EXPECT_NE(ParseBoundedCount("n", "11", 10)
+                .status()
+                .message()
+                .find("exceeds the ceiling of 10"),
+            std::string::npos);
+}
+
+TEST(StringUtilTest, ParseBoundedDoubleIsFiniteAndInRange) {
+  EXPECT_EQ(*ParseBoundedDouble("x", "0.25", 0.0, 1.0), 0.25);
+  EXPECT_EQ(*ParseBoundedDouble("x", "1e-3", 0.0, 1.0), 1e-3);
+  EXPECT_EQ(*ParseBoundedDouble("x", "1", 0.0, 1.0), 1.0);
+  for (const char* bad : {"", " 0.5", "0.5x", "abc", "nan", "inf", "-inf",
+                          "-0.1", "1.5", "1e400"}) {
+    EXPECT_EQ(ParseBoundedDouble("x", bad, 0.0, 1.0).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 // ---------------------------------------------------------------- timer

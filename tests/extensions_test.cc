@@ -1,99 +1,21 @@
-// Tests for the extension modules: the nonlinear binned CI test (and PC
-// running on it), the front-door criterion, C-DAG identifiability
-// checking, and multi-query adjustment from a single C-DAG.
+// Tests for the extension modules: the front-door criterion, C-DAG
+// identifiability checking, and multi-query adjustment from a single
+// C-DAG.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <map>
+#include <string>
+#include <vector>
 
-#include "common/rng.h"
 #include "core/fd.h"
 #include "core/identifiability.h"
 #include "core/sensitivity.h"
 #include "datagen/covid.h"
-#include "discovery/binned_ci.h"
-#include "discovery/pc.h"
 #include "graph/adjustment.h"
 
 namespace cdi {
 namespace {
-
-// ----------------------------------------------------- BinnedChiSquareTest
-
-TEST(BinnedCiTest, SeesQuadraticDependenceFisherZMisses) {
-  Rng rng(3);
-  const std::size_t n = 2500;
-  std::vector<double> x(n), y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = rng.Normal();
-    y[i] = x[i] * x[i] - 1.0 + 0.6 * rng.Normal();
-  }
-  auto binned = discovery::BinnedChiSquareTest::Create({x, y});
-  ASSERT_TRUE(binned.ok());
-  EXPECT_LT((*binned)->PValue(0, 1, {}), 1e-8);
-  EXPECT_GT((*binned)->Strength(0, 1, {}), 0.3);
-
-  stats::NumericDataset ds;
-  ds.columns = {x, y};
-  auto fisher = discovery::FisherZTest::Create(ds);
-  ASSERT_TRUE(fisher.ok());
-  // The linear test sees at most a trace of the quadratic relation.
-  EXPECT_LT((*fisher)->Strength(0, 1, {}), 0.1);
-}
-
-TEST(BinnedCiTest, ConditionalChainBlocking) {
-  // x -> z -> y with a *nonmonotone* first hop. z takes three discrete
-  // levels (the binned test conditions on bins, so a continuous mediator
-  // would leak residual within-stratum dependence — a documented
-  // limitation of coarse conditioning).
-  Rng rng(5);
-  const std::size_t n = 9000;
-  std::vector<double> x(n), z(n), y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = rng.Normal();
-    const double a = std::fabs(x[i]);
-    const double level = a < 0.43 ? 0.0 : (a < 1.15 ? 1.0 : 2.0);
-    z[i] = level + 0.01 * rng.Normal();
-    y[i] = 0.9 * level + 0.5 * rng.Normal();
-  }
-  auto test = discovery::BinnedChiSquareTest::Create({x, z, y});
-  ASSERT_TRUE(test.ok());
-  EXPECT_LT((*test)->PValue(0, 2, {}), 0.01);   // marginally dependent
-  EXPECT_GT((*test)->PValue(0, 2, {1}), 0.01);  // blocked by z
-}
-
-TEST(BinnedCiTest, PcWithBinnedTestRecoversNonlinearEdge) {
-  // Three variables: x -> y quadratic, w independent. Fisher-z PC drops
-  // the x-y edge entirely; binned PC keeps it.
-  Rng rng(17);
-  const std::size_t n = 800;
-  std::vector<double> x(n), y(n), w(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = rng.Normal();
-    y[i] = x[i] * x[i] - 1.0 + 0.6 * rng.Normal();
-    w[i] = rng.Normal();
-  }
-  const std::vector<std::string> names = {"x", "y", "w"};
-  auto binned = discovery::BinnedChiSquareTest::Create({x, y, w});
-  auto pc_binned = discovery::RunPc(**binned, names);
-  ASSERT_TRUE(pc_binned.ok());
-  EXPECT_TRUE(pc_binned->graph.Adjacent(0, 1));
-
-  stats::NumericDataset ds;
-  ds.columns = {x, y, w};
-  auto fisher = discovery::FisherZTest::Create(ds);
-  auto pc_fisher = discovery::RunPc(**fisher, names);
-  ASSERT_TRUE(pc_fisher.ok());
-  EXPECT_FALSE(pc_fisher->graph.Adjacent(0, 1));
-}
-
-TEST(BinnedCiTest, CreateValidations) {
-  EXPECT_FALSE(discovery::BinnedChiSquareTest::Create({}).ok());
-  EXPECT_FALSE(
-      discovery::BinnedChiSquareTest::Create({{1, 2, 3}}, 1).ok());
-  EXPECT_FALSE(
-      discovery::BinnedChiSquareTest::Create({{1, 2}, {1, 2, 3}}).ok());
-}
 
 // ------------------------------------------------------------- front-door
 

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -284,43 +283,73 @@ DataLake SmallLake() {
   return lake;
 }
 
-TEST(DataLakeTest, FindJoinableByContainment) {
+TEST(DataLakeTest, JoinsByContainment) {
   DataLake lake = SmallLake();
   const std::vector<std::string> keys = {"Massachusetts", "Florida"};
-  auto candidates = lake.FindJoinable(keys, 0.9);
-  ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates[0].table_index, 0u);
-  EXPECT_EQ(candidates[0].key_column, "state");
-  EXPECT_DOUBLE_EQ(candidates[0].containment, 1.0);
-  // Products table never matches.
-  EXPECT_TRUE(lake.FindJoinable({"p1"}, 0.9).empty() ||
-              lake.FindJoinable({"p1"}, 0.9)[0].table_index == 1u);
+  const auto joined = lake.JoinColumns(keys, 0.9);
+  ASSERT_EQ(joined.size(), 1u);
+  EXPECT_EQ(joined[0].table_index, 0u);
+  EXPECT_EQ(joined[0].key_column, "state");
+  EXPECT_EQ(joined[0].value_column, "pop_density");
+  EXPECT_DOUBLE_EQ(joined[0].containment, 1.0);
+  EXPECT_EQ(joined[0].values, (std::vector<double>{901, 402}));
+  // A product key joins the products table only.
+  const auto products = lake.JoinColumns({"p1"}, 0.9);
+  ASSERT_EQ(products.size(), 1u);
+  EXPECT_EQ(products[0].table_index, 1u);
+  EXPECT_EQ(products[0].values, (std::vector<double>{9.5}));
 }
 
 TEST(DataLakeTest, ContainmentThresholdFilters) {
   DataLake lake = SmallLake();
   const std::vector<std::string> keys = {"Massachusetts", "Texas", "Ohio"};
-  EXPECT_TRUE(lake.FindJoinable(keys, 0.5).empty());
-  EXPECT_EQ(lake.FindJoinable(keys, 0.3).size(), 1u);
+  EXPECT_TRUE(lake.JoinColumns(keys, 0.5).empty());
+  const auto joined = lake.JoinColumns(keys, 0.3);
+  ASSERT_EQ(joined.size(), 1u);
+  EXPECT_DOUBLE_EQ(joined[0].containment, 1.0 / 3.0);
+  EXPECT_EQ(joined[0].values[0], 901.0);
+  EXPECT_TRUE(std::isnan(joined[0].values[1]));
+  EXPECT_TRUE(std::isnan(joined[0].values[2]));
 }
 
-TEST(DataLakeTest, CorrelatedColumnSearch) {
-  DataLake lake = SmallLake();
-  const std::vector<std::string> keys = {"Massachusetts", "Florida",
-                                         "California"};
-  // Target strongly correlated with pop_density.
-  const std::vector<double> target = {90, 40, 25};
-  auto result = lake.FindCorrelatedColumns(keys, target, 0.9);
-  ASSERT_TRUE(result.ok());
-  ASSERT_FALSE(result->empty());
-  EXPECT_EQ((*result)[0].value_column, "pop_density");
-  EXPECT_GT((*result)[0].abs_correlation, 0.99);
+// Key columns come by descending containment, whatever their lake order;
+// each brings its table's numeric columns in column order.
+TEST(DataLakeTest, KeyColumnsComeByDescendingContainment) {
+  DataLake lake;
+  {
+    table::Table t("partial");
+    CDI_CHECK(t.AddColumn(table::Column::FromStrings(
+                             "state", {"MASSACHUSETTS", "OHIO"}))
+                  .ok());
+    CDI_CHECK(t.AddColumn(table::Column::FromDoubles("a", {1, 2})).ok());
+    CDI_CHECK(t.AddColumn(table::Column::FromDoubles("b", {3, 4})).ok());
+    lake.AddTable(std::move(t));
+  }
+  {
+    table::Table t("full");
+    CDI_CHECK(t.AddColumn(table::Column::FromStrings(
+                             "name", {"Florida", "Massachusetts"}))
+                  .ok());
+    CDI_CHECK(t.AddColumn(table::Column::FromDoubles("c", {5, 6})).ok());
+    lake.AddTable(std::move(t));
+  }
+  const auto joined = lake.JoinColumns({"Massachusetts", "Florida"}, 0.0);
+  ASSERT_EQ(joined.size(), 3u);
+  EXPECT_EQ(joined[0].value_column, "c");
+  EXPECT_EQ(joined[0].containment, 1.0);
+  EXPECT_EQ(joined[0].values, (std::vector<double>{6, 5}));
+  EXPECT_EQ(joined[1].value_column, "a");
+  EXPECT_EQ(joined[2].value_column, "b");
+  EXPECT_EQ(joined[1].containment, 0.5);
+  EXPECT_EQ(joined[2].containment, 0.5);
+  EXPECT_EQ(joined[2].values[0], 3.0);
+  EXPECT_TRUE(std::isnan(joined[2].values[1]));
 }
 
 TEST(DataLakeTest, LatencyChargedPerTableScan) {
   DataLake lake = SmallLake();
   LatencyMeter meter;
-  lake.FindJoinable({"Massachusetts"}, 0.9, &meter);
+  lake.JoinColumns({"Massachusetts"}, 0.9, &meter);
   EXPECT_EQ(meter.Calls(DataLake::kServiceName), 2);  // two tables
 }
 
@@ -328,18 +357,15 @@ TEST(DataLakeTest, LatencyChargedPerTableScan) {
 // "": the two must not join, and neither counts toward containment.
 TEST(DataLakeTest, EmptyNormalizedKeysNeverJoin) {
   std::vector<std::string> keys;
-  std::vector<double> target;
   table::Column lake_keys("entity", table::DataType::kString);
   std::vector<double> lake_values;
   for (int i = 0; i < 19; ++i) {
     const std::string id = std::to_string(i);
     keys.push_back("E" + id);
-    target.push_back(i + 0.1 * (i % 3));
     CDI_CHECK(lake_keys.AppendString("e" + id).ok());
     lake_values.push_back(i);
   }
   keys.push_back("");  // the null entity cell
-  target.push_back(5.0);
   CDI_CHECK(lake_keys.AppendString("-").ok());
   lake_values.push_back(1000.0);
   table::Table t("facts");
@@ -353,19 +379,20 @@ TEST(DataLakeTest, EmptyNormalizedKeysNeverJoin) {
   ASSERT_EQ(joined.size(), 1u);
   EXPECT_TRUE(std::isnan(joined[0].values.back()));
   EXPECT_EQ(joined[0].values[3], 3.0);
-  auto ranked = lake.FindCorrelatedColumns(keys, target, 0.6);
-  ASSERT_TRUE(ranked.ok());
-  ASSERT_EQ(ranked->size(), 1u);
-  EXPECT_GT((*ranked)[0].abs_correlation, 0.99);
+  EXPECT_DOUBLE_EQ(joined[0].containment, 1.0);
 
   // Containment counts only the non-empty keys on both sides: "" is no
-  // hit against "-", and it leaves the denominator.
-  const auto joinable = lake.FindJoinable({"", "E1", "absent"}, 0.0);
-  ASSERT_EQ(joinable.size(), 1u);
-  EXPECT_EQ(joinable[0].containment, 0.5);
+  // hit against "-", and it leaves the denominator. An unknown key joins
+  // nothing.
+  const auto partial = lake.JoinColumns({"", "E1", "absent"}, 0.0);
+  ASSERT_EQ(partial.size(), 1u);
+  EXPECT_EQ(partial[0].containment, 0.5);
+  EXPECT_TRUE(std::isnan(partial[0].values[0]));
+  EXPECT_EQ(partial[0].values[1], 1.0);
+  EXPECT_TRUE(std::isnan(partial[0].values[2]));
   // Only empty keys: nothing to join, and no table is scanned.
   LatencyMeter meter;
-  EXPECT_TRUE(lake.FindJoinable({"", " - "}, 0.0, &meter).empty());
+  EXPECT_TRUE(lake.JoinColumns({"", " - "}, 0.0, &meter).empty());
   EXPECT_EQ(meter.Calls(DataLake::kServiceName), 0);
 }
 
@@ -482,34 +509,18 @@ TEST(DataLakeIndexTest, MatchesScanReferenceOnRandomLakes) {
     // Input keys: mostly lake entities (including ones the lake lacks,
     // past `entities`), with null cells, repeats and empty forms.
     std::vector<std::string> keys;
-    std::vector<double> target;
     const int n = 30 + static_cast<int>(rng.UniformInt(40));
     for (int i = 0; i < n; ++i) {
       keys.push_back(rng.Bernoulli(0.08)
                          ? std::string(rng.Bernoulli(0.5) ? "" : "--")
                          : EntityForm(rng, static_cast<int>(rng.UniformInt(
                                                entities * 5 / 4))));
-      target.push_back(rng.Bernoulli(0.05)
-                           ? std::numeric_limits<double>::quiet_NaN()
-                           : rng.Normal());
     }
     for (double min_containment : {0.0, 0.3, 0.6, 0.9}) {
       SCOPED_TRACE("min_containment " + std::to_string(min_containment));
       LatencyMeter meter;
-      const auto joinable = lake.FindJoinable(keys, min_containment, &meter);
+      const auto joined = lake.JoinColumns(keys, min_containment, &meter);
       EXPECT_EQ(meter.Calls(DataLake::kServiceName), 3);
-      const auto want_joinable =
-          testing::ReferenceFindJoinable(lake, keys, min_containment);
-      ASSERT_EQ(joinable.size(), want_joinable.size());
-      for (std::size_t j = 0; j < joinable.size(); ++j) {
-        EXPECT_EQ(joinable[j].table_index, want_joinable[j].table_index);
-        EXPECT_EQ(joinable[j].key_column, want_joinable[j].key_column);
-        EXPECT_EQ(joinable[j].containment, want_joinable[j].containment);
-      }
-
-      LatencyMeter join_meter;
-      const auto joined = lake.JoinColumns(keys, min_containment, &join_meter);
-      EXPECT_EQ(join_meter.Calls(DataLake::kServiceName), 3);
       const auto want_joined =
           testing::ReferenceJoinColumns(lake, keys, min_containment);
       ASSERT_EQ(joined.size(), want_joined.size());
@@ -523,21 +534,6 @@ TEST(DataLakeIndexTest, MatchesScanReferenceOnRandomLakes) {
         for (std::size_t i = 0; i < keys.size(); ++i) {
           ExpectSameDouble(joined[j].values[i], want_joined[j].values[i]);
         }
-      }
-
-      auto ranked = lake.FindCorrelatedColumns(keys, target, min_containment);
-      auto want_ranked = testing::ReferenceFindCorrelatedColumns(
-          lake, keys, target, min_containment);
-      ASSERT_TRUE(ranked.ok());
-      ASSERT_TRUE(want_ranked.ok());
-      ASSERT_EQ(ranked->size(), want_ranked->size());
-      for (std::size_t j = 0; j < ranked->size(); ++j) {
-        EXPECT_EQ((*ranked)[j].table_index, (*want_ranked)[j].table_index);
-        EXPECT_EQ((*ranked)[j].key_column, (*want_ranked)[j].key_column);
-        EXPECT_EQ((*ranked)[j].value_column, (*want_ranked)[j].value_column);
-        EXPECT_EQ((*ranked)[j].containment, (*want_ranked)[j].containment);
-        EXPECT_EQ((*ranked)[j].abs_correlation,
-                  (*want_ranked)[j].abs_correlation);
       }
     }
   }

@@ -151,14 +151,6 @@ TEST(TableTest, RenameColumn) {
   EXPECT_FALSE(t.RenameColumn("cases", "avg_temp").ok());  // collision
 }
 
-TEST(TableTest, FilterRows) {
-  Table t = MakeCities();
-  Table hot = t.FilterRows([&](std::size_t r) {
-    return t.GetCell(r, "temp")->as_double() > 50.0;
-  });
-  EXPECT_EQ(hot.num_rows(), 2u);
-}
-
 TEST(TableTest, SortByNumericAndString) {
   Table t = MakeCities();
   auto by_temp = t.SortBy("temp");
@@ -186,13 +178,6 @@ TEST(TableTest, DistinctRows) {
   CDI_CHECK(t.AddColumn(Column::FromInts("v", {1, 2, 1, 3})).ok());
   Table d = t.DistinctRows();
   EXPECT_EQ(d.num_rows(), 3u);  // (a,1), (b,2), (a,3)
-}
-
-TEST(TableTest, DropNullRows) {
-  Table t("t");
-  CDI_CHECK(t.AddColumn(Column::FromDoubles("x", {1, std::nan(""), 3})).ok());
-  CDI_CHECK(t.AddColumn(Column::FromDoubles("y", {1, 2, std::nan("")})).ok());
-  EXPECT_EQ(t.DropNullRows().num_rows(), 1u);
 }
 
 TEST(TableTest, HeadAndToString) {
@@ -564,7 +549,7 @@ TEST(ColumnTest, NullBitmapThroughSetAndAppend) {
   EXPECT_FALSE(c.IsNull(4));
 }
 
-TEST(ColumnTest, NullBitmapSurvivesTakeFilterAppendRow) {
+TEST(ColumnTest, NullBitmapSurvivesTakeAndAppendRow) {
   Table t("t");
   Column x("x", DataType::kDouble);
   CDI_CHECK(x.Append(Value(1.0)).ok());
@@ -581,11 +566,6 @@ TEST(ColumnTest, NullBitmapSurvivesTakeFilterAppendRow) {
   EXPECT_TRUE(took.ColumnAt(0).IsNull(0));
   EXPECT_TRUE(took.ColumnAt(0).IsNull(1));
   EXPECT_FALSE(took.ColumnAt(0).IsNull(2));
-
-  Table kept = t.FilterRows(
-      [&](std::size_t r) { return !t.ColumnAt(0).IsNull(r); });
-  EXPECT_EQ(kept.num_rows(), 2u);
-  EXPECT_EQ(kept.ColumnAt(0).NullCount(), 0u);
 }
 
 TEST(ColumnTest, DistinctCountTypedEquality) {

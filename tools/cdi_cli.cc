@@ -18,21 +18,27 @@
 //                    edge <concept_a> <concept_b>     # a causes b
 //                    alias <attribute> <concept>
 //                    topic <name> <keyword> [keyword...]
-//   --clusters   target number of (non-exposure/outcome) clusters;
-//                default: VARCLUS's eigenvalue criterion decides
-//   --num-threads  worker threads for the CI-test stages; the result is
-//                bitwise-identical at any thread count (default 1)
+//   --clusters   target number of (non-exposure/outcome) clusters, at
+//                most 1000; default (or 0): VARCLUS's eigenvalue
+//                criterion decides
+//   --num-threads  worker threads for the CI-test stages, at most 256;
+//                the result is bitwise-identical at any thread count
+//                (default 1)
+//
+// A count flag takes digits only; anything else, or a value over its
+// ceiling, is a usage error (exit 2).
 //
 // Outputs: <prefix>_augmented.csv (the organized, augmented dataset),
 // <prefix>_cdag.dot (the C-DAG), and a report on stdout.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/string_util.h"
 #include "core/pipeline.h"
 #include "graph/dot.h"
 #include "knowledge/data_lake.h"
@@ -56,6 +62,9 @@ struct Args {
   int num_threads = 1;
   std::string out_prefix = "cdi";
 };
+
+/// Ceiling of --clusters.
+constexpr std::uint64_t kMaxClustersFlag = 1000;
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -89,9 +98,15 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--knowledge" && (v = next())) {
       args->knowledge_file = v;
     } else if (flag == "--clusters" && (v = next())) {
-      args->clusters = std::atoi(v);
+      if (!cdi::ParseCountFlag(flag, v, 0, kMaxClustersFlag,
+                               &args->clusters)) {
+        return false;
+      }
     } else if (flag == "--num-threads" && (v = next())) {
-      args->num_threads = std::atoi(v);
+      if (!cdi::ParseCountFlag(flag, v, 0, cdi::kMaxThreadsFlag,
+                               &args->num_threads)) {
+        return false;
+      }
     } else if (flag == "--out-prefix" && (v = next())) {
       args->out_prefix = v;
     } else {

@@ -18,16 +18,29 @@
 // On failure it prints a minimized single-seed reproducer command line and
 // exits 1. --inject-bug plants an intentional discovery bug to prove the
 // checks can catch one.
+//
+// Every numeric flag is strict: a count is digits only and within its
+// floor and ceiling, --direct-effect-tol a finite number in [0, 100];
+// anything else is a usage error (exit 2).
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
+#include "common/string_util.h"
 #include "testing/harness.h"
 
 namespace {
+
+/// Ceilings of the numeric flags. A random scenario needs at least 20
+/// entities and as many clusters as RandomScenarioOptions::min_clusters.
+constexpr std::uint64_t kMaxTrialsFlag = 1000000;
+constexpr std::uint64_t kMinEntitiesFlag = 20;
+constexpr std::uint64_t kMaxEntitiesFlag = 100000;
+constexpr std::uint64_t kMaxClustersFlag = 64;
+constexpr double kMaxDirectEffectTolFlag = 100.0;
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -44,22 +57,27 @@ int Usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   std::size_t trials = 50;
-  uint64_t seed = 1;
+  std::uint64_t seed = 1;
   bool quiet = false;
   cdi::testing::FuzzOptions options;
 
+  using cdi::ParseCountFlag;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    bool parsed = true;
     if (flag == "--trials" && (v = next())) {
-      trials = static_cast<std::size_t>(std::atoll(v));
+      parsed = ParseCountFlag(flag, v, 0, kMaxTrialsFlag, &trials);
     } else if (flag == "--seed" && (v = next())) {
-      seed = static_cast<uint64_t>(std::atoll(v));
+      parsed = ParseCountFlag(flag, v, 0,
+                              std::numeric_limits<std::uint64_t>::max(),
+                              &seed);
     } else if (flag == "--num-threads" && (v = next())) {
-      options.num_threads = std::atoi(v);
+      parsed = ParseCountFlag(flag, v, 0, cdi::kMaxThreadsFlag,
+                              &options.num_threads);
     } else if (flag == "--no-metamorphic") {
       options.run_metamorphic = false;
     } else if (flag == "--no-summarize") {
@@ -72,23 +90,27 @@ int main(int argc, char** argv) {
       }
       options.fault = *kind;
     } else if (flag == "--min-entities" && (v = next())) {
-      options.scenario.min_entities =
-          static_cast<std::size_t>(std::atoll(v));
+      parsed = ParseCountFlag(flag, v, kMinEntitiesFlag, kMaxEntitiesFlag,
+                              &options.scenario.min_entities);
     } else if (flag == "--max-entities" && (v = next())) {
-      options.scenario.max_entities =
-          static_cast<std::size_t>(std::atoll(v));
+      parsed = ParseCountFlag(flag, v, kMinEntitiesFlag, kMaxEntitiesFlag,
+                              &options.scenario.max_entities);
     } else if (flag == "--max-clusters" && (v = next())) {
-      options.scenario.max_clusters =
-          static_cast<std::size_t>(std::atoll(v));
+      parsed = ParseCountFlag(flag, v, options.scenario.min_clusters,
+                              kMaxClustersFlag,
+                              &options.scenario.max_clusters);
     } else if (flag == "--direct-effect-tol" && (v = next())) {
-      options.checks.direct_effect_tolerance = std::atof(v);
+      parsed = cdi::ParseDoubleFlag(flag, v, 0.0, kMaxDirectEffectTolFlag,
+                                    &options.checks.direct_effect_tolerance);
     } else if (flag == "--max-failed-trials" && (v = next())) {
-      options.max_failed_trials = static_cast<std::size_t>(std::atoll(v));
+      parsed = ParseCountFlag(flag, v, 0, kMaxTrialsFlag,
+                              &options.max_failed_trials);
     } else if (flag == "--quiet") {
       quiet = true;
     } else {
       return Usage(argv[0]);
     }
+    if (!parsed) return Usage(argv[0]);
   }
   if (options.scenario.max_entities < options.scenario.min_entities) {
     options.scenario.max_entities = options.scenario.min_entities;

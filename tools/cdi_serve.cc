@@ -113,8 +113,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   using cdi::serve::kMaxMemoryBudgetKbFlag;
   using cdi::serve::kMaxQueueDepthFlag;
   using cdi::serve::kMaxRegistryShardsFlag;
-  using cdi::serve::kMaxThreadsFlag;
-  using cdi::serve::ParseCountFlag;
+  using cdi::kMaxThreadsFlag;
+  using cdi::ParseCountFlag;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> const char* {
