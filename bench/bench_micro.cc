@@ -1,6 +1,6 @@
-// google-benchmark microbenchmarks for the CDI substrates: hash join,
-// group-by, correlation matrix, Fisher-z CI tests, PC / GES / VARCLUS
-// scaling, d-separation, and the end-to-end pipeline stages.
+// google-benchmark microbenchmarks for the CDI substrates: correlation
+// matrix and Gram kernels, Fisher-z CI tests, PC / GES / VARCLUS scaling,
+// d-separation, the end-to-end pipeline stages and the serving layer.
 
 #include <benchmark/benchmark.h>
 
@@ -32,55 +32,10 @@
 #include "stats/gram_kernel.h"
 #include "stats/linalg.h"
 #include "stats/sufficient_stats.h"
-#include "table/aggregate.h"
-#include "table/join.h"
 
 namespace {
 
 using cdi::Rng;
-
-cdi::table::Table RandomKeyedTable(std::size_t rows, std::size_t entities,
-                                   uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::string> keys;
-  std::vector<double> values;
-  for (std::size_t r = 0; r < rows; ++r) {
-    keys.push_back("entity_" + std::to_string(rng.UniformInt(entities)));
-    values.push_back(rng.Normal());
-  }
-  cdi::table::Table t("bench");
-  CDI_CHECK(
-      t.AddColumn(cdi::table::Column::FromStrings("key", keys)).ok());
-  CDI_CHECK(
-      t.AddColumn(cdi::table::Column::FromDoubles("value", values)).ok());
-  return t;
-}
-
-void BM_HashJoin(benchmark::State& state) {
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  auto left = RandomKeyedTable(rows, rows / 4, 1);
-  auto right = RandomKeyedTable(rows, rows / 4, 2);
-  for (auto _ : state) {
-    auto j = cdi::table::HashJoin(left, right, "key");
-    benchmark::DoNotOptimize(j->num_rows());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(rows));
-}
-BENCHMARK(BM_HashJoin)->Arg(1000)->Arg(10000)->Arg(50000);
-
-void BM_GroupBy(benchmark::State& state) {
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  auto t = RandomKeyedTable(rows, rows / 8, 3);
-  for (auto _ : state) {
-    auto g = cdi::table::GroupBy(
-        t, {"key"}, {{"value", cdi::table::AggKind::kMean, "m"}});
-    benchmark::DoNotOptimize(g->num_rows());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(rows));
-}
-BENCHMARK(BM_GroupBy)->Arg(1000)->Arg(10000)->Arg(50000);
 
 std::vector<std::vector<double>> ChainData(std::size_t vars, std::size_t n,
                                            uint64_t seed) {
@@ -175,39 +130,6 @@ BENCHMARK(BM_CovarianceBlockedSweep)
     ->Args({4, 200})
     ->Args({8, 200})
     ->Args({8, 400});
-
-// Extending a 200-attribute Gram with 10 new columns: the incremental
-// cross-term path (O(n * k * (p + k))) vs recomputing all 210 columns
-// from scratch. Same data, bitwise-identical results.
-void BM_SufficientStatsAppendIncremental(benchmark::State& state) {
-  auto data = ChainData(210, 2000, 5);
-  cdi::stats::NumericDataset base;
-  for (std::size_t v = 0; v < 200; ++v) base.columns.push_back(data[v]);
-  std::vector<cdi::DoubleSpan> extra(data.begin() + 200, data.end());
-  auto stats = cdi::stats::SufficientStats::Compute(base);
-  CDI_CHECK(stats.ok());
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto s = *stats;
-    state.ResumeTiming();
-    CDI_CHECK(s.AppendColumns(extra).ok());
-    CDI_CHECK(s.last_append_incremental());
-    benchmark::DoNotOptimize(s.num_vars());
-  }
-}
-BENCHMARK(BM_SufficientStatsAppendIncremental);
-
-void BM_SufficientStatsAppendRecompute(benchmark::State& state) {
-  auto data = ChainData(210, 2000, 5);
-  auto ds = cdi::stats::NumericDataset();
-  for (auto& col : data) ds.columns.push_back(col);
-  for (auto _ : state) {
-    auto s = cdi::stats::SufficientStats::Compute(ds);
-    CDI_CHECK(s.ok());
-    benchmark::DoNotOptimize(s->num_vars());
-  }
-}
-BENCHMARK(BM_SufficientStatsAppendRecompute);
 
 // Streaming row ingest: delta-refreshing a 200-column Gram after a
 // k-row batch vs recomputing from scratch over the grown data. The delta

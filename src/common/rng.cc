@@ -89,13 +89,6 @@ double Rng::Laplace(double b) {
 
 double Rng::UniformNoise(double a) { return Uniform(-a, a); }
 
-double Rng::Exponential(double rate) {
-  CDI_CHECK(rate > 0.0);
-  double u = Uniform();
-  while (u <= 0.0) u = Uniform();
-  return -std::log(u) / rate;
-}
-
 std::size_t Rng::Categorical(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) {

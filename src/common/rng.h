@@ -47,9 +47,6 @@ class Rng {
   /// Uniform(-a, a) deviate — another non-Gaussian noise choice.
   double UniformNoise(double a);
 
-  /// Exponential deviate with the given rate.
-  double Exponential(double rate);
-
   /// Samples an index in [0, weights.size()) proportionally to weights.
   /// Requires at least one strictly positive weight.
   std::size_t Categorical(const std::vector<double>& weights);

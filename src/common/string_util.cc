@@ -55,13 +55,6 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
          s.substr(s.size() - suffix.size()) == suffix;
 }
 
-bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
-  if (needle.empty()) return true;
-  const std::string h = ToLower(haystack);
-  const std::string n = ToLower(needle);
-  return h.find(n) != std::string::npos;
-}
-
 std::string NormalizeEntityName(std::string_view s) {
   const std::string lowered = ToLower(Trim(s));
   std::string out;
@@ -77,25 +70,6 @@ std::string NormalizeEntityName(std::string_view s) {
     }
   }
   return out;
-}
-
-std::size_t EditDistance(std::string_view a, std::string_view b) {
-  const std::size_t n = a.size();
-  const std::size_t m = b.size();
-  if (n == 0) return m;
-  if (m == 0) return n;
-  std::vector<std::size_t> prev(m + 1);
-  std::vector<std::size_t> cur(m + 1);
-  for (std::size_t j = 0; j <= m; ++j) prev[j] = j;
-  for (std::size_t i = 1; i <= n; ++i) {
-    cur[0] = i;
-    for (std::size_t j = 1; j <= m; ++j) {
-      const std::size_t cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[m];
 }
 
 double JaroWinkler(std::string_view a, std::string_view b) {

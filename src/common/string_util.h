@@ -28,15 +28,9 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// True if `s` ends with `suffix`.
 bool EndsWith(std::string_view s, std::string_view suffix);
 
-/// True if `needle` occurs in `haystack` ignoring ASCII case.
-bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle);
-
 /// Canonicalizes an entity name for matching: lower-cases, trims, collapses
 /// runs of whitespace/punctuation to single underscores.
 std::string NormalizeEntityName(std::string_view s);
-
-/// Levenshtein edit distance.
-std::size_t EditDistance(std::string_view a, std::string_view b);
 
 /// Jaro-Winkler similarity in [0, 1]; 1 means equal strings.
 double JaroWinkler(std::string_view a, std::string_view b);

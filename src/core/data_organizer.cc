@@ -46,20 +46,6 @@ double MedianBySelection(std::vector<double>* values) {
   return v_lo * (1.0 - m.frac) + v_hi * m.frac;
 }
 
-/// Column::AppendKeyBytes(row, column_local=true), except that an int64
-/// cell keys on its own bits: AppendKeyBytes widens it to a double, which
-/// would merge two int64 values above 2^53.
-void AppendExactKey(const table::Column& c, std::size_t row,
-                    std::string* out) {
-  if (c.type() == table::DataType::kInt64 && !c.IsNull(row)) {
-    const int64_t v = c.Get(row).as_int64();
-    out->push_back('i');
-    out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-    return;
-  }
-  c.AppendKeyBytes(row, /*column_local=*/true, out);
-}
-
 }  // namespace
 
 Result<bool> HoldsFd(const table::Table& t, const std::string& lhs,
@@ -75,8 +61,8 @@ Result<bool> HoldsFd(const table::Table& t, const std::string& lhs,
     if (l->IsNull(row)) continue;
     lv.clear();
     rv.clear();
-    AppendExactKey(*l, row, &lv);
-    AppendExactKey(*r, row, &rv);
+    l->AppendKeyBytes(row, &lv);
+    r->AppendKeyBytes(row, &rv);
     auto [it, inserted] = map.try_emplace(lv, rv);
     if (!inserted && it->second != rv) return false;
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
 #include "common/string_util.h"
 
@@ -102,29 +101,6 @@ Result<std::vector<Table3Row>> EvaluateAllMethods(
     rows.push_back(std::move(row));
   }
   return rows;
-}
-
-std::string FormatTable3(const std::string& dataset_label,
-                         const datagen::Scenario& scenario,
-                         const std::vector<Table3Row>& rows) {
-  std::ostringstream os;
-  os << dataset_label << " (|V|=" << scenario.cluster_dag.num_nodes()
-     << ", |E|=" << scenario.cluster_dag.num_edges() << ")\n";
-  os << "  Method      |E|   "
-        "Inclusion P/R/F1        Absence P/R/F1         DirectEff  "
-        "Mediators-OK\n";
-  for (const auto& r : rows) {
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "  %-10s %4zu   %4.2f / %4.2f / %4.2f      "
-                  "%4.2f / %4.2f / %4.2f      %6.3f     %s\n",
-                  r.method.c_str(), r.num_edges, r.presence.precision,
-                  r.presence.recall, r.presence.f1, r.absence.precision,
-                  r.absence.recall, r.absence.f1, r.direct_effect,
-                  r.mediators_match_truth ? "yes" : "no");
-    os << line;
-  }
-  return os.str();
 }
 
 }  // namespace cdi::core

@@ -49,11 +49,6 @@ Result<std::vector<Table3Row>> EvaluateAllMethods(
 /// (the paper "picked our current best configurations").
 PipelineOptions DefaultEvaluationOptions(const datagen::Scenario& scenario);
 
-/// Renders rows in the paper's Table 3 layout.
-std::string FormatTable3(const std::string& dataset_label,
-                         const datagen::Scenario& scenario,
-                         const std::vector<Table3Row>& rows);
-
 }  // namespace cdi::core
 
 #endif  // CDI_CORE_EVALUATION_H_

@@ -26,20 +26,6 @@ Result<std::unique_ptr<FisherZTest>> MakeGaussianTest(
 
 }  // namespace
 
-const char* AlgorithmName(Algorithm a) {
-  switch (a) {
-    case Algorithm::kPc:
-      return "PC";
-    case Algorithm::kFci:
-      return "FCI";
-    case Algorithm::kGes:
-      return "GES";
-    case Algorithm::kLingam:
-      return "LiNGAM";
-  }
-  return "?";
-}
-
 Result<DiscoverySummary> RunDiscovery(
     const std::vector<DoubleSpan>& data,
     const std::vector<std::string>& names, Algorithm algorithm,

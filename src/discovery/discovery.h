@@ -15,9 +15,6 @@ namespace cdi::discovery {
 /// The data-centric causal discovery baselines evaluated in the paper.
 enum class Algorithm { kPc, kFci, kGes, kLingam };
 
-/// Stable display name ("PC", "FCI", "GES", "LiNGAM").
-const char* AlgorithmName(Algorithm a);
-
 struct DiscoveryOptions {
   /// CI significance level (PC / FCI).
   double alpha = 0.05;

@@ -13,19 +13,6 @@ Result<std::set<NodeId>> Mediators(const Digraph& g, NodeId t, NodeId o) {
   return g.NodesOnDirectedPaths(t, o);
 }
 
-Result<std::set<NodeId>> Confounders(const Digraph& g, NodeId t, NodeId o) {
-  if (t >= g.num_nodes() || o >= g.num_nodes() || t == o) {
-    return Status::InvalidArgument("bad exposure/outcome nodes");
-  }
-  const auto anc_t = g.Ancestors(t);
-  const auto anc_o = g.Ancestors(o);
-  std::set<NodeId> out;
-  for (NodeId v : anc_t) {
-    if (v != t && v != o && anc_o.count(v) > 0) out.insert(v);
-  }
-  return out;
-}
-
 namespace {
 
 /// Copy of g with t's outgoing edges removed (the "backdoor graph").
@@ -53,32 +40,6 @@ Result<bool> IsValidBackdoorSet(const Digraph& g, NodeId t, NodeId o,
   }
   const Digraph h = BackdoorGraph(g, t);
   return DSeparated(h, t, o, z);
-}
-
-Result<std::set<NodeId>> ParentBackdoorSet(const Digraph& g, NodeId t,
-                                           NodeId o) {
-  if (g.HasEdge(o, t)) {
-    return Status::FailedPrecondition(
-        "outcome is a parent of exposure; Pa(t) is not a valid backdoor set");
-  }
-  std::set<NodeId> z(g.Parents(t).begin(), g.Parents(t).end());
-  z.erase(o);
-  return z;
-}
-
-Result<std::set<NodeId>> MinimalBackdoorSet(const Digraph& g, NodeId t,
-                                            NodeId o) {
-  CDI_ASSIGN_OR_RETURN(std::set<NodeId> z, ParentBackdoorSet(g, t, o));
-  // Greedy shrink in ascending node order: drop a node if the remainder is
-  // still valid.
-  const std::vector<NodeId> members(z.begin(), z.end());
-  for (NodeId v : members) {
-    std::set<NodeId> trial = z;
-    trial.erase(v);
-    CDI_ASSIGN_OR_RETURN(bool valid, IsValidBackdoorSet(g, t, o, trial));
-    if (valid) z = trial;
-  }
-  return z;
 }
 
 namespace {
@@ -140,17 +101,6 @@ Result<std::set<NodeId>> FrontDoorSet(const Digraph& g, NodeId t, NodeId o) {
     return Status::NotFound("mediator set violates the front-door criterion");
   }
   return med;
-}
-
-Result<std::set<NodeId>> DirectEffectAdjustmentSet(const Digraph& g, NodeId t,
-                                                   NodeId o) {
-  CDI_ASSIGN_OR_RETURN(std::set<NodeId> med, Mediators(g, t, o));
-  CDI_ASSIGN_OR_RETURN(std::set<NodeId> conf, Confounders(g, t, o));
-  std::set<NodeId> out = med;
-  out.insert(conf.begin(), conf.end());
-  out.erase(t);
-  out.erase(o);
-  return out;
 }
 
 }  // namespace cdi::graph

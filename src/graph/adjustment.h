@@ -14,27 +14,12 @@ namespace cdi::graph {
 /// Mediators: nodes on at least one directed path t -> ... -> o.
 Result<std::set<NodeId>> Mediators(const Digraph& g, NodeId t, NodeId o);
 
-/// Confounders (heuristic characterization used throughout CDI): nodes that
-/// are ancestors of both t and o via paths not through t. These are the
-/// classical "common causes".
-Result<std::set<NodeId>> Confounders(const Digraph& g, NodeId t, NodeId o);
-
 /// True iff `z` satisfies Pearl's backdoor criterion relative to (t, o):
 /// no node of z is a descendant of t, and z blocks every path t <- ... o
 /// that starts with an edge into t. Checked via d-separation in the graph
 /// with t's outgoing edges removed.
 Result<bool> IsValidBackdoorSet(const Digraph& g, NodeId t, NodeId o,
                                 const std::set<NodeId>& z);
-
-/// The canonical backdoor set Pa(t), always valid when o is not a parent
-/// of t; returns an error in that degenerate case.
-Result<std::set<NodeId>> ParentBackdoorSet(const Digraph& g, NodeId t,
-                                           NodeId o);
-
-/// A minimal valid backdoor set obtained by greedily shrinking Pa(t)
-/// (removing nodes while the set stays valid). Deterministic.
-Result<std::set<NodeId>> MinimalBackdoorSet(const Digraph& g, NodeId t,
-                                            NodeId o);
 
 /// True iff `z` satisfies Pearl's front-door criterion relative to (t, o):
 /// (i) z intercepts every directed path from t to o, (ii) there is no
@@ -47,12 +32,6 @@ Result<bool> IsValidFrontDoorSet(const Digraph& g, NodeId t, NodeId o,
 /// The canonical front-door candidate: all mediators of t -> o. Returns
 /// the set when it satisfies the criterion, NotFound otherwise.
 Result<std::set<NodeId>> FrontDoorSet(const Digraph& g, NodeId t, NodeId o);
-
-/// The adjustment set for the *controlled direct effect* of t on o:
-/// mediators (to block indirect paths) plus a valid backdoor set.
-/// This is the set CATER hands to the effect estimator.
-Result<std::set<NodeId>> DirectEffectAdjustmentSet(const Digraph& g, NodeId t,
-                                                   NodeId o);
 
 }  // namespace cdi::graph
 

@@ -69,24 +69,4 @@ EdgeSetMetrics CompareEdgeSets(std::size_t num_nodes,
   return m;
 }
 
-Result<EdgeSetMetrics> CompareGraphs(const Digraph& predicted,
-                                     const Digraph& truth) {
-  // Match node universes by name.
-  std::set<std::string> pn(predicted.NodeNames().begin(),
-                           predicted.NodeNames().end());
-  std::set<std::string> tn(truth.NodeNames().begin(),
-                           truth.NodeNames().end());
-  if (pn != tn) {
-    return Status::InvalidArgument("graphs have different node sets");
-  }
-  // Re-index the predicted graph into the truth graph's id space.
-  std::vector<Edge> pred_edges;
-  for (const auto& [u, v] : predicted.Edges()) {
-    CDI_ASSIGN_OR_RETURN(NodeId tu, truth.NodeIdOf(predicted.NodeName(u)));
-    CDI_ASSIGN_OR_RETURN(NodeId tv, truth.NodeIdOf(predicted.NodeName(v)));
-    pred_edges.emplace_back(tu, tv);
-  }
-  return CompareEdgeSets(truth.num_nodes(), pred_edges, truth.Edges());
-}
-
 }  // namespace cdi::graph

@@ -1,10 +1,8 @@
 #ifndef CDI_GRAPH_METRICS_H_
 #define CDI_GRAPH_METRICS_H_
 
-#include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "graph/digraph.h"
 
 namespace cdi::graph {
@@ -39,12 +37,6 @@ struct EdgeSetMetrics {
 EdgeSetMetrics CompareEdgeSets(std::size_t num_nodes,
                                const std::vector<Edge>& predicted,
                                const std::vector<Edge>& truth);
-
-/// Convenience overload: compares two Digraphs by matching node *names*
-/// (the graphs may order nodes differently). Fails if node name sets
-/// differ.
-Result<EdgeSetMetrics> CompareGraphs(const Digraph& predicted,
-                                     const Digraph& truth);
 
 }  // namespace cdi::graph
 

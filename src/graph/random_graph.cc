@@ -1,7 +1,6 @@
 #include "graph/random_graph.h"
 
 #include <numeric>
-#include <utility>
 #include <vector>
 
 namespace cdi::graph {
@@ -33,22 +32,6 @@ Digraph RandomDag(std::size_t n, double edge_prob, Rng* rng) {
         CDI_CHECK(g.AddEdge(order[i], order[j]).ok());
       }
     }
-  }
-  return g;
-}
-
-Digraph RandomDagWithEdgeCount(std::size_t n, std::size_t num_edges,
-                               Rng* rng) {
-  Digraph g(MakeNames(n));
-  const auto order = RandomOrder(n, rng);
-  std::vector<std::pair<std::size_t, std::size_t>> slots;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) slots.emplace_back(i, j);
-  }
-  rng->Shuffle(&slots);
-  const std::size_t take = std::min(num_edges, slots.size());
-  for (std::size_t k = 0; k < take; ++k) {
-    CDI_CHECK(g.AddEdge(order[slots[k].first], order[slots[k].second]).ok());
   }
   return g;
 }

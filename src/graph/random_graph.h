@@ -12,11 +12,6 @@ namespace cdi::graph {
 /// Used by property tests and scaling benchmarks.
 Digraph RandomDag(std::size_t n, double edge_prob, Rng* rng);
 
-/// Samples a random DAG with exactly `num_edges` edges (or as many as the
-/// complete DAG allows).
-Digraph RandomDagWithEdgeCount(std::size_t n, std::size_t num_edges,
-                               Rng* rng);
-
 }  // namespace cdi::graph
 
 #endif  // CDI_GRAPH_RANDOM_GRAPH_H_

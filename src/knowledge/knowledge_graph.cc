@@ -60,16 +60,6 @@ std::uint32_t PropertyId(std::map<std::string, std::uint32_t>* ids,
       .first->second;
 }
 
-/// Sorted names of the ids set in `mask`.
-std::vector<std::string> Names(const std::map<std::string, std::uint32_t>& ids,
-                               const std::vector<std::uint64_t>& mask) {
-  std::vector<std::string> out;
-  for (const auto& [name, id] : ids) {
-    if (TestBit(mask, id)) out.push_back(name);
-  }
-  return out;
-}
-
 /// Appends one extracted cell, coerced into the column's type: strings
 /// take any value's rendering, doubles any numeric or bool, int64 a bool
 /// as 0/1.
@@ -147,20 +137,6 @@ void KnowledgeGraph::AddLink(const std::string& entity,
 bool KnowledgeGraph::HasEntity(const std::string& entity) const {
   const std::uint32_t slot = FindSlot(entity);
   return slot != kNoSlot && slots_[slot].is_entity;
-}
-
-std::vector<std::string> KnowledgeGraph::LiteralProperties(
-    const std::string& entity) const {
-  const std::uint32_t slot = FindSlot(entity);
-  if (slot == kNoSlot) return {};
-  return Names(literal_ids_, slots_[slot].literal_mask);
-}
-
-std::vector<std::string> KnowledgeGraph::LinkProperties(
-    const std::string& entity) const {
-  const std::uint32_t slot = FindSlot(entity);
-  if (slot == kNoSlot) return {};
-  return Names(link_ids_, slots_[slot].link_mask);
 }
 
 Result<table::Value> KnowledgeGraph::GetLiteral(

@@ -49,12 +49,6 @@ class KnowledgeGraph {
 
   bool HasEntity(const std::string& entity) const;
 
-  /// Literal property names of `entity` (sorted).
-  std::vector<std::string> LiteralProperties(const std::string& entity) const;
-
-  /// Link property names of `entity` (sorted).
-  std::vector<std::string> LinkProperties(const std::string& entity) const;
-
   Result<table::Value> GetLiteral(const std::string& entity,
                                   const std::string& property) const;
 

@@ -32,13 +32,6 @@ struct GramKernelFns {
   void (*tile2)(const double* a, const double* b0, const double* b1,
                 std::size_t count, double* local0, double* local1);
 
-  /// k4 independent dot products sharing the left operand:
-  /// local[j] += sum_i a[i] * b[i * k4 + j] (fused, rows ascending).
-  /// k4 must be a multiple of 4; b is row-major count x k4. Used by the
-  /// incremental column-append cross block.
-  void (*cross)(const double* a, const double* b, std::size_t count,
-                std::size_t k4, double* local);
-
   /// Centered transpose-pack of one tile: dst[i * kGramTile + c] =
   /// cols[c][i] - means[c] for i < count, c < kGramTile. Vector backends
   /// run it as an in-register 8x8 (or 4x4) transpose; subtraction is a

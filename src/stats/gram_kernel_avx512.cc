@@ -69,45 +69,6 @@ void Avx512Tile2(const double* a, const double* b0, const double* b1,
   }
 }
 
-void Avx512Cross(const double* a, const double* b, std::size_t count,
-                 std::size_t k4, double* local) {
-  // 8-wide zmm column blocks, with a 4-wide ymm block when k4 % 8 == 4.
-  // Blocking only groups independent columns — results are unaffected.
-  std::size_t j0 = 0;
-  for (; j0 + 32 <= k4; j0 += 32) {
-    __m512d acc[4];
-    for (std::size_t v = 0; v < 4; ++v) {
-      acc[v] = _mm512_loadu_pd(local + j0 + v * 8);
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      const __m512d av = _mm512_set1_pd(a[i]);
-      const double* row = b + i * k4 + j0;
-      for (std::size_t v = 0; v < 4; ++v) {
-        acc[v] = _mm512_fmadd_pd(av, _mm512_loadu_pd(row + v * 8), acc[v]);
-      }
-    }
-    for (std::size_t v = 0; v < 4; ++v) {
-      _mm512_storeu_pd(local + j0 + v * 8, acc[v]);
-    }
-  }
-  for (; j0 + 8 <= k4; j0 += 8) {
-    __m512d acc = _mm512_loadu_pd(local + j0);
-    for (std::size_t i = 0; i < count; ++i) {
-      acc = _mm512_fmadd_pd(_mm512_set1_pd(a[i]),
-                            _mm512_loadu_pd(b + i * k4 + j0), acc);
-    }
-    _mm512_storeu_pd(local + j0, acc);
-  }
-  if (j0 < k4) {
-    __m256d acc = _mm256_loadu_pd(local + j0);
-    for (std::size_t i = 0; i < count; ++i) {
-      acc = _mm256_fmadd_pd(_mm256_set1_pd(a[i]),
-                            _mm256_loadu_pd(b + i * k4 + j0), acc);
-    }
-    _mm256_storeu_pd(local + j0, acc);
-  }
-}
-
 // Centered 8x8 in-register transpose pack: load 8 rows of each of the 8
 // columns, subtract the column means (one IEEE op per element — bitwise
 // identical to the scalar pack), transpose with the classic
@@ -219,7 +180,7 @@ std::uint64_t Avx512PresentBits(const double* col, std::size_t count) {
 
 const GramKernelFns* CdiGramKernelAvx512() {
   static const GramKernelFns fns = {
-      &Avx512Tile,    &Avx512Tile2,      &Avx512Cross, &Avx512PackTile,
+      &Avx512Tile,        &Avx512Tile2,   &Avx512PackTile,
       &Avx512PresentBits, &Avx512CorrRow, &Avx512DivRow, "avx512"};
   return &fns;
 }

@@ -88,29 +88,6 @@ void GramTile2Impl(const double* a, const double* b0, const double* b1,
   }
 }
 
-/// local[j] += sum_i a[i] * b[i][j] for j < k4 (k4 % 4 == 0), processed
-/// in column blocks of up to 32 so the accumulators stay in registers.
-void GramCrossImpl(const double* a, const double* b, std::size_t count,
-                   std::size_t k4, double* local) {
-  for (std::size_t j0 = 0; j0 < k4; j0 += 32) {
-    const std::size_t vecs = (k4 - j0 < 32 ? k4 - j0 : 32) / 4;
-    sv::V4 acc[8];
-    for (std::size_t v = 0; v < vecs; ++v) {
-      acc[v] = sv::Load(local + j0 + v * 4);
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      const sv::V4 av = sv::Broadcast(a[i]);
-      const double* row = b + i * k4 + j0;
-      for (std::size_t v = 0; v < vecs; ++v) {
-        acc[v] = sv::MulAdd(av, sv::Load(row + v * 4), acc[v]);
-      }
-    }
-    for (std::size_t v = 0; v < vecs; ++v) {
-      sv::Store(local + j0 + v * 4, acc[v]);
-    }
-  }
-}
-
 /// dst[i * kGramTile + c] = cols[c][i] - means[c]: the scalar pack. The
 /// per-element subtraction is the only arithmetic, so any traversal
 /// order packs the same bits; vector backends override this with

@@ -12,7 +12,7 @@ namespace cdi::stats {
 
 const GramKernelFns* CdiGramKernelScalar() {
   static const GramKernelFns fns = {
-      &GramTileImpl,        &GramTile2Impl,  &GramCrossImpl,
+      &GramTileImpl,        &GramTile2Impl,
       &GramPackTileImpl,    &GramPresentBitsImpl,
       &GramCorrRowImpl,     &GramDivRowImpl, "scalar"};
   return &fns;

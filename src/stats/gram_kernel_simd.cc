@@ -74,12 +74,12 @@ std::uint64_t Avx2PresentBits(const double* col, std::size_t count) {
 const GramKernelFns* CdiGramKernelSimd() {
 #if defined(__AVX2__)
   static const GramKernelFns fns = {
-      &GramTileImpl,    &GramTile2Impl,  &GramCrossImpl,
+      &GramTileImpl,    &GramTile2Impl,
       &Avx2PackTile,    &Avx2PresentBits,
       &GramCorrRowImpl, &GramDivRowImpl, cdi::simd::BackendName()};
 #else
   static const GramKernelFns fns = {
-      &GramTileImpl,        &GramTile2Impl,  &GramCrossImpl,
+      &GramTileImpl,        &GramTile2Impl,
       &GramPackTileImpl,    &GramPresentBitsImpl,
       &GramCorrRowImpl,     &GramDivRowImpl, cdi::simd::BackendName()};
 #endif

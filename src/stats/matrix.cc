@@ -3,69 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <new>
 #include <sstream>
 
 namespace cdi::stats {
-
-namespace detail {
-namespace {
-
-/// Only blocks worth a fresh mmap are cached, and at most ~16 MB per
-/// thread; everything else goes straight to operator new/delete. The
-/// freelist is a flat array scanned linearly — it holds a handful of
-/// entries, all different sizes of the same few matrix shapes.
-constexpr std::size_t kMinCachedBytes = std::size_t{128} << 10;
-constexpr std::size_t kMaxCachedBytes = std::size_t{16} << 20;
-constexpr std::size_t kMaxCachedBlocks = 16;
-
-struct CachedBlock {
-  void* ptr;
-  std::size_t bytes;
-};
-
-struct BlockCache {
-  CachedBlock blocks[kMaxCachedBlocks];
-  std::size_t count = 0;
-  std::size_t total_bytes = 0;
-  ~BlockCache() {
-    for (std::size_t i = 0; i < count; ++i) ::operator delete(blocks[i].ptr);
-  }
-};
-
-BlockCache& Cache() {
-  static thread_local BlockCache cache;
-  return cache;
-}
-
-}  // namespace
-
-void* AcquireMatrixBlock(std::size_t bytes) {
-  if (bytes < kMinCachedBytes) return nullptr;
-  BlockCache& c = Cache();
-  for (std::size_t i = 0; i < c.count; ++i) {
-    if (c.blocks[i].bytes == bytes) {
-      void* p = c.blocks[i].ptr;
-      c.total_bytes -= bytes;
-      c.blocks[i] = c.blocks[--c.count];
-      return p;
-    }
-  }
-  return nullptr;
-}
-
-bool TryReleaseMatrixBlock(void* p, std::size_t bytes) {
-  if (bytes < kMinCachedBytes) return false;
-  BlockCache& c = Cache();
-  if (c.count == kMaxCachedBlocks || c.total_bytes + bytes > kMaxCachedBytes) {
-    return false;
-  }
-  c.blocks[c.count++] = {p, bytes};
-  c.total_bytes += bytes;
-  return true;
-}
-
-}  // namespace detail
 
 Matrix Matrix::Identity(std::size_t n) {
   Matrix m(n, n);

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -12,44 +11,17 @@
 
 namespace cdi::stats {
 
-namespace detail {
-/// Thread-local cache of large matrix storage blocks. glibc serves
-/// multi-MB allocations with fresh mmaps and returns them on free, so a
-/// loop that builds a few-hundred-variable matrix per iteration (PC
-/// sweeps, serving epochs, benchmarks) pays ~300 soft page faults per
-/// matrix. Recycling the handful of hot block sizes through a bounded
-/// per-thread freelist keeps the pages warm. Blocks are keyed by exact
-/// byte size; both functions only ever see blocks that came from
-/// `::operator new`.
-void* AcquireMatrixBlock(std::size_t bytes);          // nullptr on miss
-bool TryReleaseMatrixBlock(void* p, std::size_t bytes);  // false when full
-}  // namespace detail
-
-/// std::allocator that (a) default-initializes on no-argument construct,
-/// so `resize(n)` leaves doubles uninitialized instead of zero-filling,
-/// and (b) recycles large blocks through the thread-local cache above.
+/// std::allocator that default-initializes on no-argument construct, so
+/// `resize(n)` leaves doubles uninitialized instead of zero-filling.
 /// Explicit fills (`vector(n, v)`) are unaffected. Exists so producers
 /// that overwrite every entry (Matrix::Uninitialized) can skip a full
-/// write pass over the storage, and so matrix-per-iteration loops do not
-/// churn mmapped pages.
+/// write pass over the storage.
 template <class T>
 struct DefaultInitAlloc : std::allocator<T> {
-  static_assert(std::is_trivially_destructible_v<T>,
-                "block recycling skips destructors");
   template <class U>
   struct rebind {
     using other = DefaultInitAlloc<U>;
   };
-  T* allocate(std::size_t n) {
-    if (void* p = detail::AcquireMatrixBlock(n * sizeof(T))) {
-      return static_cast<T*>(p);
-    }
-    return std::allocator<T>::allocate(n);
-  }
-  void deallocate(T* p, std::size_t n) {
-    if (detail::TryReleaseMatrixBlock(p, n * sizeof(T))) return;
-    std::allocator<T>::deallocate(p, n);
-  }
   template <class U, class... Args>
   void construct(U* p, Args&&... args) {
     if constexpr (sizeof...(Args) == 0) {

@@ -478,137 +478,6 @@ Matrix SufficientStats::Correlation() const {
   return corr;
 }
 
-Status SufficientStats::AppendColumns(const std::vector<DoubleSpan>& cols,
-                                      ThreadPool* pool) {
-  if (columns_.empty()) {
-    return Status::FailedPrecondition("append to empty SufficientStats");
-  }
-  if (cols.empty()) {
-    last_append_incremental_ = true;
-    return Status::OK();
-  }
-  for (const auto& col : cols) {
-    if (col.size() != num_rows_) {
-      return Status::InvalidArgument("ragged dataset");
-    }
-  }
-
-  // If the new columns are missing on any currently-complete row, every
-  // entry's row set changes: recompute from scratch (still blocked).
-  std::vector<std::uint64_t> merged = mask_;
-  for (const auto& col : cols) {
-    AndColumnMask(col.data(), num_rows_, merged.data());
-  }
-  if (merged != mask_) {
-    NumericDataset all;
-    all.columns = columns_;
-    all.columns.insert(all.columns.end(), cols.begin(), cols.end());
-    all.weights = weights_;
-    CDI_ASSIGN_OR_RETURN(SufficientStats fresh, Compute(all, pool));
-    *this = std::move(fresh);
-    last_append_incremental_ = false;
-    return Status::OK();
-  }
-
-  // Incremental path: the complete-row set (hence mask, weight sum, and
-  // every existing mean and S entry) is unchanged; only the k new columns'
-  // means, the p x k cross block, and the k x k tail are computed —
-  // O(n * k * (p + k)) instead of O(n * (p + k)^2). Expression shapes and
-  // per-entry row order match BlockedGram, so the extended S is bitwise
-  // identical to a full recompute.
-  const std::size_t p = columns_.size();
-  const std::size_t k = cols.size();
-  const bool weighted = !weights_.empty();
-  const auto rows = SetBitIndices(mask_, complete_rows_);
-  const std::size_t m = rows.size();
-
-  std::vector<double> nsums(k, 0.0);
-  std::vector<double> nmeans(k, 0.0);
-  ParallelFor(pool, k, [&](std::size_t j) {
-    const DoubleSpan& col = cols[j];
-    double mv = 0.0;
-    if (weighted) {
-      for (std::size_t r : rows) mv += weights_[r] * col[r];
-    } else {
-      for (std::size_t r : rows) mv += col[r];
-    }
-    nsums[j] = mv;
-    nmeans[j] = mv / wsum_;
-  });
-
-  // Centered new-column panel (m x k4 row-major, zero-padded to a
-  // multiple of 4 columns for the cross kernel) + its w-scaled A-side.
-  const std::size_t k4 = (k + 3) / 4 * 4;
-  std::vector<double> npanel(m * k4, 0.0);
-  std::vector<double> wnpanel(weighted ? m * k4 : 0, 0.0);
-  ParallelFor(pool, m, [&](std::size_t i) {
-    const std::size_t r = rows[i];
-    double* row = npanel.data() + i * k4;
-    for (std::size_t j = 0; j < k; ++j) row[j] = cols[j][r] - nmeans[j];
-    if (weighted) {
-      const double w = weights_[r];
-      double* wrow = wnpanel.data() + i * k4;
-      for (std::size_t j = 0; j < k; ++j) wrow[j] = w * row[j];
-    }
-  });
-
-  Matrix ns(p + k, p + k);
-  for (std::size_t a = 0; a < p; ++a) {
-    for (std::size_t b = 0; b < p; ++b) ns(a, b) = sxx_(a, b);
-  }
-
-  // Cross block: entry (a, p + j) accumulates fma(w * da, dnew_j, acc)
-  // over rows ascending — the lower index a supplies the weighted side,
-  // as in the full kernel — via the dispatched cross kernel (one fused
-  // multiply-add per entry per row, vectorized over j), so the result
-  // stays bitwise identical to a full recompute. One task per existing
-  // column; the padded columns accumulate zeros and are dropped.
-  const GramKernelFns& kernel = ActiveGramKernel();
-  ParallelFor(pool, p, [&](std::size_t a) {
-    const DoubleSpan& col = columns_[a];
-    const double ma = means_[a];
-    thread_local std::vector<double> wda;
-    wda.resize(m);
-    if (weighted) {
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::size_t r = rows[i];
-        wda[i] = weights_[r] * (col[r] - ma);
-      }
-    } else {
-      for (std::size_t i = 0; i < m; ++i) wda[i] = col[rows[i]] - ma;
-    }
-    std::vector<double> local(k4, 0.0);
-    kernel.cross(wda.data(), npanel.data(), m, k4, local.data());
-    for (std::size_t j = 0; j < k; ++j) {
-      ns(a, p + j) = local[j];
-      ns(p + j, a) = local[j];
-    }
-  });
-
-  // New x new tail: same kernel, with the (weighted) new column x as the
-  // shared left operand; entries below the diagonal are recomputed
-  // transposes and dropped.
-  ParallelFor(pool, k, [&](std::size_t x) {
-    const double* aside = weighted ? wnpanel.data() : npanel.data();
-    thread_local std::vector<double> ax;
-    ax.resize(m);
-    for (std::size_t i = 0; i < m; ++i) ax[i] = aside[i * k4 + x];
-    std::vector<double> local(k4, 0.0);
-    kernel.cross(ax.data(), npanel.data(), m, k4, local.data());
-    for (std::size_t y = x; y < k; ++y) {
-      ns(p + x, p + y) = local[y];
-      ns(p + y, p + x) = local[y];
-    }
-  });
-
-  columns_.insert(columns_.end(), cols.begin(), cols.end());
-  col_sums_.insert(col_sums_.end(), nsums.begin(), nsums.end());
-  means_.insert(means_.end(), nmeans.begin(), nmeans.end());
-  sxx_ = std::move(ns);
-  last_append_incremental_ = true;
-  return Status::OK();
-}
-
 Status SufficientStats::AppendRows(const std::vector<DoubleSpan>& cols,
                                    std::size_t new_rows,
                                    const std::vector<double>& weights,
@@ -759,32 +628,6 @@ Result<double> SufficientStats::GaussianBicLocal(
   const double neg2_loglik = nn * std::log(2.0 * M_PI * sigma2) + nn;
   return neg2_loglik +
          std::log(nn) * (static_cast<double>(parents.size()) + 2.0);
-}
-
-Result<std::vector<double>> SufficientStats::OlsCoefficients(
-    std::size_t y, const std::vector<std::size_t>& xs) const {
-  const std::size_t p = num_vars();
-  if (y >= p) return Status::InvalidArgument("bad target index");
-  for (std::size_t x : xs) {
-    if (x >= p) return Status::InvalidArgument("bad predictor index");
-  }
-  std::vector<double> out;
-  out.reserve(xs.size() + 1);
-  if (xs.empty()) {
-    out.push_back(means_[y]);
-    return out;
-  }
-  Matrix sxs = sxx_.Submatrix(xs);
-  std::vector<double> sxy(xs.size());
-  for (std::size_t j = 0; j < xs.size(); ++j) sxy[j] = sxx_(xs[j], y);
-  CDI_ASSIGN_OR_RETURN(std::vector<double> beta, SolveRidged(sxs, sxy));
-  double intercept = means_[y];
-  for (std::size_t j = 0; j < xs.size(); ++j) {
-    intercept -= beta[j] * means_[xs[j]];
-  }
-  out.push_back(intercept);
-  out.insert(out.end(), beta.begin(), beta.end());
-  return out;
 }
 
 Result<Matrix> ReferenceCovarianceMatrix(const NumericDataset& data) {

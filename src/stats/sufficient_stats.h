@@ -40,14 +40,8 @@ namespace cdi::stats {
 /// combined with bitwise AND, replacing the branchy per-row
 /// isnan-over-all-columns prescan.
 ///
-/// AppendColumns extends the statistics with `k` new columns in
-/// O(n * k * (p + k)) when the new columns do not shrink the
-/// complete-row set (the common case: the knowledge extractor joins
-/// fully-aligned attributes); the result is bitwise identical to a full
-/// recompute, because per-entry accumulation order does not depend on
-/// which other entries are computed. When a new column introduces NaNs in
-/// previously-complete rows, every entry's row set changes and the
-/// statistics are recomputed in full (still through the blocked kernel).
+/// AppendRows extends the statistics with a row batch — the serving
+/// layer's epoch rollover — bitwise identical to a full recompute.
 class SufficientStats {
  public:
   SufficientStats() = default;
@@ -90,14 +84,6 @@ class SufficientStats {
   /// correlate 0 with everything (1 on the diagonal).
   Matrix Correlation() const;
 
-  /// Extends the statistics with `cols` (each of num_rows() rows).
-  /// Incremental — O(n * k * (p + k)) — when the new columns leave the
-  /// complete-row set unchanged, full recompute otherwise; either way the
-  /// result is bitwise identical to Compute() over all p + k columns.
-  /// On error the object is unchanged.
-  Status AppendColumns(const std::vector<DoubleSpan>& cols,
-                       ThreadPool* pool = nullptr);
-
   /// Extends the statistics with `new_rows` rows appended to every
   /// column. `cols` are full-length spans over the *concatenated*
   /// columns (old rows first, then the new ones); the old prefix must
@@ -108,9 +94,9 @@ class SufficientStats {
   /// `weights` must likewise be the full concatenated weight vector;
   /// pass empty for unweighted statistics.
   ///
-  /// Contract, mirroring AppendColumns: the result is bitwise identical
-  /// to Compute() over the concatenated dataset, at any thread count. A
-  /// true rank-k update of the *centered* Gram cannot meet that bar —
+  /// Contract: the result is bitwise identical to Compute() over the
+  /// concatenated dataset, at any thread count. A true rank-k update of
+  /// the *centered* Gram cannot meet that bar —
   /// appended rows shift every column mean, which changes every entry's
   /// floating-point accumulation sequence — so the per-column
   /// accumulators (complete-row mask, weight sum, pre-division column
@@ -124,8 +110,8 @@ class SufficientStats {
                     const std::vector<double>& weights = {},
                     ThreadPool* pool = nullptr);
 
-  /// Whether the last AppendColumns/AppendRows took the incremental path
-  /// (for AppendRows: the Gram sweep was skipped — no new complete rows).
+  /// Whether the last AppendRows took the incremental path: the Gram
+  /// sweep was skipped because the batch held no new complete row.
   /// Benchmark/test introspection.
   bool last_append_incremental() const { return last_append_incremental_; }
 
@@ -136,13 +122,6 @@ class SufficientStats {
   /// for empty parent sets the value is bitwise identical.
   Result<double> GaussianBicLocal(
       std::size_t target, const std::vector<std::size_t>& parents) const;
-
-  /// OLS coefficients (intercept first, then one slope per entry of `xs`,
-  /// in order) of column `y` on columns `xs`, solved from the normal
-  /// equations in centered form: slopes from S[xs, xs] beta = S[xs, y]
-  /// (tiny ridge, as LeastSquares), intercept from the means.
-  Result<std::vector<double>> OlsCoefficients(
-      std::size_t y, const std::vector<std::size_t>& xs) const;
 
  private:
   std::vector<DoubleSpan> columns_;

@@ -12,9 +12,9 @@ namespace cdi::table {
 namespace {
 
 constexpr char kKeyNull = '\x00';
-constexpr char kKeyNumeric = 'n';
+constexpr char kKeyDouble = 'd';
+constexpr char kKeyInt64 = 'i';
 constexpr char kKeyBool = 'b';
-constexpr char kKeyString = 's';
 constexpr char kKeyCode = 'c';
 
 /// One canonical bit pattern for every NaN, so NaN keys compare equal
@@ -572,8 +572,7 @@ bool Column::TypeChecks() const {
   return true;
 }
 
-void Column::AppendKeyBytes(std::size_t row, bool column_local,
-                            std::string* out) const {
+void Column::AppendKeyBytes(std::size_t row, std::string* out) const {
   CDI_CHECK(row < size_);
   if (NullBit(row)) {
     out->push_back(kKeyNull);
@@ -581,40 +580,23 @@ void Column::AppendKeyBytes(std::size_t row, bool column_local,
   }
   switch (type_) {
     case DataType::kDouble: {
-      out->push_back(kKeyNumeric);
+      out->push_back(kKeyDouble);
       const uint64_t bits = CanonicalBits(doubles_[row]);
       AppendRaw(out, &bits, sizeof(bits));
       break;
     }
-    case DataType::kInt64: {
-      // Same encoding as doubles, so int64 keys match equal-valued double
-      // keys across a join (Append already widens ints into double
-      // columns; this keeps the key domains consistent).
-      out->push_back(kKeyNumeric);
-      const uint64_t bits =
-          CanonicalBits(static_cast<double>(ints_[row]));
-      AppendRaw(out, &bits, sizeof(bits));
+    case DataType::kInt64:
+      out->push_back(kKeyInt64);
+      AppendRaw(out, &ints_[row], sizeof(int64_t));
       break;
-    }
-    case DataType::kString: {
-      if (column_local) {
-        out->push_back(kKeyCode);
-        const int32_t code = codes_[row];
-        AppendRaw(out, &code, sizeof(code));
-      } else {
-        const std::string& s = dict_[codes_[row]];
-        out->push_back(kKeyString);
-        const uint64_t len = s.size();
-        AppendRaw(out, &len, sizeof(len));
-        out->append(s);
-      }
+    case DataType::kString:
+      out->push_back(kKeyCode);
+      AppendRaw(out, &codes_[row], sizeof(int32_t));
       break;
-    }
-    case DataType::kBool: {
+    case DataType::kBool:
       out->push_back(kKeyBool);
       out->push_back(bools_[row] ? '\x01' : '\x00');
       break;
-    }
   }
 }
 

@@ -135,16 +135,15 @@ class Column {
   std::size_t ByteSize() const;
 
   /// Appends an exact typed encoding of the cell at `row` to `out`, for
-  /// composite hash keys (join / group-by / distinct). Numeric cells
-  /// (double, int64) encode as the bit pattern of their double value with
-  /// NaN canonicalized, so keys match exactly — never through a decimal
-  /// rendering. Strings encode as length + content, or as the 32-bit
-  /// dictionary code when `column_local` (valid only for keys drawn from
-  /// this same column, e.g. group-by; cross-column joins must pass false).
-  /// Nulls encode as a dedicated tag. Each cell's encoding is prefix-free,
-  /// so concatenated composite keys are unambiguous.
-  void AppendKeyBytes(std::size_t row, bool column_local,
-                      std::string* out) const;
+  /// composite hash keys over rows of one table (distinct rows, FD
+  /// checks): two cells of this column get equal bytes iff they hold the
+  /// same value. Doubles encode as their bit pattern with NaN
+  /// canonicalized (every NaN equals every NaN, +0.0 and -0.0 differ),
+  /// int64 cells as their own 64 bits, strings as their dictionary code,
+  /// and nulls as a dedicated tag. Keys compare only within one column:
+  /// dictionary codes mean nothing across columns. Each cell's encoding is
+  /// prefix-free, so concatenated composite keys are unambiguous.
+  void AppendKeyBytes(std::size_t row, std::string* out) const;
 
  private:
   Status CheckType(const Value& v) const;

@@ -216,7 +216,7 @@ Table Table::DistinctRows() const {
   std::vector<std::size_t> offsets(n + 1, 0);
   for (std::size_t r = 0; r < n; ++r) {
     for (const auto& c : columns_) {
-      c.AppendKeyBytes(r, /*column_local=*/true, &arena);
+      c.AppendKeyBytes(r, &arena);
     }
     offsets[r + 1] = arena.size();
   }

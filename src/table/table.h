@@ -97,7 +97,8 @@ class Table {
 
   /// Removes exact duplicate rows (all columns equal), keeping first
   /// occurrences. Rows compare by their Column::AppendKeyBytes keys, so
-  /// every NaN equals every NaN while +0.0 and -0.0 stay distinct. Returns
+  /// every NaN equals every NaN, nulls equal nulls, +0.0 and -0.0 stay
+  /// distinct, and so do two int64 values above 2^53. Returns
   /// a plain copy when no row repeats.
   Table DistinctRows() const;
 

@@ -250,7 +250,7 @@ table::Table ReferenceDistinctRows(const table::Table& t) {
   for (std::size_t r = 0; r < t.num_rows(); ++r) {
     key.clear();
     for (std::size_t c = 0; c < t.num_cols(); ++c) {
-      t.ColumnAt(c).AppendKeyBytes(r, /*column_local=*/true, &key);
+      t.ColumnAt(c).AppendKeyBytes(r, &key);
     }
     if (seen.insert(key).second) keep.push_back(r);
   }

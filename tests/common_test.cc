@@ -188,14 +188,6 @@ TEST(RngTest, LaplaceVariance) {
   EXPECT_NEAR(sumsq / n, 2 * b * b, 0.15);
 }
 
-TEST(RngTest, ExponentialMean) {
-  Rng rng(31);
-  const int n = 30000;
-  double sum = 0;
-  for (int i = 0; i < n; ++i) sum += rng.Exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
 TEST(RngTest, CategoricalRespectsWeights) {
   Rng rng(37);
   std::vector<double> w = {1.0, 0.0, 3.0};
@@ -258,22 +250,11 @@ TEST(StringUtilTest, StartsEndsWith) {
   EXPECT_FALSE(EndsWith("hello", "he"));
 }
 
-TEST(StringUtilTest, ContainsIgnoreCase) {
-  EXPECT_TRUE(ContainsIgnoreCase("Massachusetts", "CHUSE"));
-  EXPECT_FALSE(ContainsIgnoreCase("Massachusetts", "florida"));
-}
-
 TEST(StringUtilTest, NormalizeEntityName) {
   EXPECT_EQ(NormalizeEntityName("  New   York "), "new_york");
   EXPECT_EQ(NormalizeEntityName("COUNTRY 0042"), "country_0042");
   EXPECT_EQ(NormalizeEntityName("a-b.c"), "a_b_c");
   EXPECT_EQ(NormalizeEntityName(""), "");
-}
-
-TEST(StringUtilTest, EditDistance) {
-  EXPECT_EQ(EditDistance("kitten", "sitting"), 3u);
-  EXPECT_EQ(EditDistance("", "abc"), 3u);
-  EXPECT_EQ(EditDistance("same", "same"), 0u);
 }
 
 TEST(StringUtilTest, JaroWinklerBounds) {

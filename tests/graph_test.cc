@@ -194,16 +194,12 @@ Digraph ConfounderGraph() {
   return g;
 }
 
-TEST(AdjustmentTest, MediatorsAndConfounders) {
+TEST(AdjustmentTest, Mediators) {
   Digraph g = ConfounderGraph();
   auto med = Mediators(g, 0, 1);
   ASSERT_TRUE(med.ok());
   EXPECT_EQ(med->size(), 1u);
   EXPECT_TRUE(med->count(2));
-  auto conf = Confounders(g, 0, 1);
-  ASSERT_TRUE(conf.ok());
-  EXPECT_EQ(conf->size(), 1u);
-  EXPECT_TRUE(conf->count(3));
 }
 
 TEST(AdjustmentTest, BackdoorValidity) {
@@ -214,37 +210,6 @@ TEST(AdjustmentTest, BackdoorValidity) {
   EXPECT_FALSE(*IsValidBackdoorSet(g, 0, 1, {0}));   // contains t
 }
 
-TEST(AdjustmentTest, ParentAndMinimalBackdoor) {
-  Digraph g = ConfounderGraph();
-  auto pa = ParentBackdoorSet(g, 0, 1);
-  ASSERT_TRUE(pa.ok());
-  EXPECT_EQ(pa->size(), 1u);
-  auto minimal = MinimalBackdoorSet(g, 0, 1);
-  ASSERT_TRUE(minimal.ok());
-  EXPECT_EQ(minimal->size(), 1u);
-  EXPECT_TRUE(minimal->count(3));
-}
-
-TEST(AdjustmentTest, MinimalBackdoorShrinksRedundantParents) {
-  // t has two parents but only z1 confounds; z2 has no path to o.
-  Digraph g({"t", "o", "z1", "z2"});
-  CDI_CHECK(g.AddEdge("z1", "t").ok());
-  CDI_CHECK(g.AddEdge("z2", "t").ok());
-  CDI_CHECK(g.AddEdge("z1", "o").ok());
-  CDI_CHECK(g.AddEdge("t", "o").ok());
-  auto minimal = MinimalBackdoorSet(g, 0, 1);
-  ASSERT_TRUE(minimal.ok());
-  EXPECT_EQ(minimal->size(), 1u);
-  EXPECT_TRUE(minimal->count(2));
-}
-
-TEST(AdjustmentTest, DirectEffectAdjustmentSet) {
-  Digraph g = ConfounderGraph();
-  auto adj = DirectEffectAdjustmentSet(g, 0, 1);
-  ASSERT_TRUE(adj.ok());
-  EXPECT_EQ(adj->size(), 2u);  // mediator m and confounder z
-}
-
 TEST(AdjustmentTest, PropertyParentSetIsAlwaysValidBackdoor) {
   Rng rng(73);
   int checked = 0;
@@ -253,9 +218,8 @@ TEST(AdjustmentTest, PropertyParentSetIsAlwaysValidBackdoor) {
     const NodeId t = rng.UniformInt(uint64_t{7});
     const NodeId o = rng.UniformInt(uint64_t{7});
     if (t == o || g.HasEdge(o, t)) continue;
-    auto pa = ParentBackdoorSet(g, t, o);
-    if (!pa.ok() || pa->count(o) > 0) continue;
-    auto valid = IsValidBackdoorSet(g, t, o, *pa);
+    // Pa(t) is a valid backdoor set whenever o is not a parent of t.
+    auto valid = IsValidBackdoorSet(g, t, o, g.Parents(t));
     ASSERT_TRUE(valid.ok());
     EXPECT_TRUE(*valid) << "trial " << trial;
     ++checked;
@@ -407,12 +371,11 @@ TEST(PagTest, RemoveEdgeAndAdjacency) {
 
 TEST(MetricsTest, PerfectPrediction) {
   Digraph g = Chain3();
-  auto m = CompareGraphs(g, g);
-  ASSERT_TRUE(m.ok());
-  EXPECT_DOUBLE_EQ(m->presence.precision, 1.0);
-  EXPECT_DOUBLE_EQ(m->presence.recall, 1.0);
-  EXPECT_DOUBLE_EQ(m->presence.f1, 1.0);
-  EXPECT_DOUBLE_EQ(m->absence.f1, 1.0);
+  auto m = CompareEdgeSets(g.num_nodes(), g.Edges(), g.Edges());
+  EXPECT_DOUBLE_EQ(m.presence.precision, 1.0);
+  EXPECT_DOUBLE_EQ(m.presence.recall, 1.0);
+  EXPECT_DOUBLE_EQ(m.presence.f1, 1.0);
+  EXPECT_DOUBLE_EQ(m.absence.f1, 1.0);
 }
 
 TEST(MetricsTest, HandComputedCase) {
@@ -473,19 +436,6 @@ TEST(MetricsTest, DuplicateClaimsDeduplicated) {
   EXPECT_DOUBLE_EQ(m.presence.precision, 1.0);
 }
 
-TEST(MetricsTest, CompareGraphsMatchesByName) {
-  // Same edges, different node id order.
-  Digraph a({"x", "y"});
-  CDI_CHECK(a.AddEdge("x", "y").ok());
-  Digraph b({"y", "x"});
-  CDI_CHECK(b.AddEdge("x", "y").ok());
-  auto m = CompareGraphs(a, b);
-  ASSERT_TRUE(m.ok());
-  EXPECT_DOUBLE_EQ(m->presence.f1, 1.0);
-  Digraph c({"x", "z"});
-  EXPECT_FALSE(CompareGraphs(a, c).ok());
-}
-
 // ------------------------------------------------------------------- dot
 
 TEST(DotTest, DigraphExport) {
@@ -515,16 +465,6 @@ TEST(RandomGraphTest, AlwaysAcyclic) {
     Digraph g = RandomDag(10, 0.4, &rng);
     EXPECT_TRUE(g.IsAcyclic());
   }
-}
-
-TEST(RandomGraphTest, EdgeCountExact) {
-  Rng rng(89);
-  Digraph g = RandomDagWithEdgeCount(8, 12, &rng);
-  EXPECT_EQ(g.num_edges(), 12u);
-  EXPECT_TRUE(g.IsAcyclic());
-  // More edges than possible: clamps to the complete DAG.
-  Digraph full = RandomDagWithEdgeCount(4, 100, &rng);
-  EXPECT_EQ(full.num_edges(), 6u);
 }
 
 // ----------------------------------------------------- PAG edge-mark marks
@@ -591,9 +531,6 @@ TEST(AdjustmentTest, DisconnectedExposureOutcome) {
   auto med = Mediators(g, t, o);
   ASSERT_TRUE(med.ok());
   EXPECT_TRUE(med->empty());
-  auto conf = Confounders(g, t, o);
-  ASSERT_TRUE(conf.ok());
-  EXPECT_TRUE(conf->empty());
   // With no connecting path at all, T and O are d-separated by the empty
   // set, and the empty set is a valid backdoor set.
   auto sep = DSeparated(g, t, o, {});
@@ -602,9 +539,6 @@ TEST(AdjustmentTest, DisconnectedExposureOutcome) {
   auto valid = IsValidBackdoorSet(g, t, o, {});
   ASSERT_TRUE(valid.ok());
   EXPECT_TRUE(*valid);
-  auto minimal = MinimalBackdoorSet(g, t, o);
-  ASSERT_TRUE(minimal.ok());
-  EXPECT_TRUE(minimal->empty());
 }
 
 TEST(AdjustmentTest, EmptySetsOnDirectEdgeOnlyGraph) {
@@ -613,9 +547,6 @@ TEST(AdjustmentTest, EmptySetsOnDirectEdgeOnlyGraph) {
   auto med = Mediators(g, 0, 1);
   ASSERT_TRUE(med.ok());
   EXPECT_TRUE(med->empty());  // nothing strictly between t and o
-  auto direct = DirectEffectAdjustmentSet(g, 0, 1);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_TRUE(direct->empty());
   // The direct edge d-connects t and o under any conditioning set.
   auto sep = DSeparated(g, 0, 1, {});
   ASSERT_TRUE(sep.ok());

@@ -237,17 +237,6 @@ TEST(EvaluationIntegrationTest, Table3ShapeHolds) {
   }
 }
 
-TEST(EvaluationIntegrationTest, FormatTable3Renders) {
-  auto scenario = Build(datagen::FlightsSpec());
-  auto rows = core::EvaluateAllMethods(
-      *scenario, core::DefaultEvaluationOptions(*scenario));
-  ASSERT_TRUE(rows.ok());
-  const std::string out = core::FormatTable3("FLIGHTS", *scenario, *rows);
-  EXPECT_NE(out.find("CATER"), std::string::npos);
-  EXPECT_NE(out.find("LiNGAM"), std::string::npos);
-  EXPECT_NE(out.find("|V|=9"), std::string::npos);
-}
-
 TEST(PipelineIntegrationTest, RuntimeAccountingShape) {
   // The paper's end-to-end runtimes were dominated by external services;
   // our simulated latency must dwarf local wall clock, and FLIGHTS (more

@@ -88,8 +88,6 @@ TEST(KnowledgeGraphTest, LiteralsAndLinks) {
   auto gov = kg.GetLink("Massachusetts", "governor");
   ASSERT_TRUE(gov.ok());
   EXPECT_EQ(*gov, "Maura Healey");
-  EXPECT_EQ(kg.LiteralProperties("Massachusetts").size(), 2u);
-  EXPECT_EQ(kg.LinkProperties("Massachusetts").size(), 1u);
 }
 
 TEST(KnowledgeGraphTest, ExtractPropertiesAlignsRows) {
@@ -244,8 +242,6 @@ TEST(KnowledgeGraphTest, ExtractPropertiesSeesLaterMutations) {
                    6.0);
   EXPECT_TRUE(kg.HasEntity("Ron DeSantis"));
   EXPECT_EQ(*kg.GetLink("Florida", "governor"), "Ron DeSantis");
-  EXPECT_EQ(kg.LiteralProperties("Florida"),
-            (std::vector<std::string>{"area", "avg_temp"}));
 }
 
 TEST(KnowledgeGraphTest, LatencyCharged) {

@@ -968,55 +968,6 @@ TEST(SufficientStatsTest, TooFewCompleteRowsFails) {
   EXPECT_FALSE(stats.ok());
 }
 
-TEST(SufficientStatsTest, AppendEqualsRecomputeExact) {
-  // Base columns carry the NaNs; appended columns are complete on the
-  // base's complete rows, so the mask is unchanged and the incremental
-  // cross-term path runs. The extended S must be bitwise the full
-  // recompute.
-  auto data = NoisyData(29, 500, 0.04, 109);
-  auto extra_data = NoisyData(5, 500, 0.0, 111);
-  NumericDataset base;
-  base.columns = cdi::SpansOf(data);
-  auto stats = SufficientStats::Compute(base);
-  ASSERT_TRUE(stats.ok());
-  auto appended = *stats;
-  ASSERT_TRUE(appended.AppendColumns(cdi::SpansOf(extra_data)).ok());
-  EXPECT_TRUE(appended.last_append_incremental());
-  NumericDataset all;
-  all.columns = cdi::SpansOf(data);
-  for (const auto& col : extra_data) all.columns.emplace_back(col);
-  auto full = SufficientStats::Compute(all);
-  ASSERT_TRUE(full.ok());
-  EXPECT_TRUE(BitwiseEqual(appended.cross_products(),
-                           full->cross_products()));
-  ASSERT_EQ(appended.means().size(), full->means().size());
-  for (std::size_t v = 0; v < full->means().size(); ++v) {
-    EXPECT_EQ(appended.means()[v], full->means()[v]) << "mean " << v;
-  }
-  EXPECT_TRUE(BitwiseEqual(appended.Covariance(), full->Covariance()));
-}
-
-TEST(SufficientStatsTest, AppendWithNewNansFallsBackToRecompute) {
-  auto data = NoisyData(8, 300, 0.02, 113);
-  auto extra_data = NoisyData(2, 300, 0.0, 115);
-  extra_data[1][5] = kNaN;  // shrinks the complete-row set
-  NumericDataset base;
-  base.columns = cdi::SpansOf(data);
-  auto stats = SufficientStats::Compute(base);
-  ASSERT_TRUE(stats.ok());
-  auto appended = *stats;
-  ASSERT_TRUE(appended.AppendColumns(cdi::SpansOf(extra_data)).ok());
-  EXPECT_FALSE(appended.last_append_incremental());
-  NumericDataset all;
-  all.columns = cdi::SpansOf(data);
-  for (const auto& col : extra_data) all.columns.emplace_back(col);
-  auto full = SufficientStats::Compute(all);
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(appended.complete_rows(), full->complete_rows());
-  EXPECT_TRUE(BitwiseEqual(appended.cross_products(),
-                           full->cross_products()));
-}
-
 // Borrowing spans over the first `rows` cells of each column.
 std::vector<DoubleSpan> PrefixSpans(
     const std::vector<std::vector<double>>& cols, std::size_t rows) {
@@ -1144,36 +1095,6 @@ TEST(SufficientStatsTest, AppendRowsAllIncompleteSkipsGramSweep) {
   auto full = SufficientStats::Compute(full_ds);
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(stats->complete_mask(), full->complete_mask());
-  EXPECT_TRUE(
-      BitwiseEqual(stats->cross_products(), full->cross_products()));
-}
-
-TEST(SufficientStatsTest, AppendRowsInterleavedWithAppendColumns) {
-  // Grow both ways — rows, then columns, then rows again — and land on
-  // bitwise the one-shot compute over the final rectangle. This is the
-  // serving-layer life cycle: epoch rollovers interleaved with lake
-  // augmentation.
-  const std::size_t n0 = 150, n1 = 185, n2 = 205;
-  auto data = NoisyData(6, n2, 0.03, 143);
-  auto extra = NoisyData(2, n2, 0.0, 145);
-  NumericDataset base;
-  base.columns = PrefixSpans(data, n0);
-  auto stats = SufficientStats::Compute(base);
-  ASSERT_TRUE(stats.ok());
-  ASSERT_TRUE(stats->AppendRows(PrefixSpans(data, n1), n1 - n0).ok());
-  ASSERT_TRUE(stats->AppendColumns(PrefixSpans(extra, n1)).ok());
-  auto grown = PrefixSpans(data, n2);
-  for (const auto& s : PrefixSpans(extra, n2)) grown.push_back(s);
-  ASSERT_TRUE(stats->AppendRows(grown, n2 - n1).ok());
-  NumericDataset full_ds;
-  full_ds.columns = grown;
-  auto full = SufficientStats::Compute(full_ds);
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(stats->complete_rows(), full->complete_rows());
-  EXPECT_EQ(stats->complete_mask(), full->complete_mask());
-  for (std::size_t v = 0; v < full->means().size(); ++v) {
-    EXPECT_EQ(stats->means()[v], full->means()[v]) << "mean " << v;
-  }
   EXPECT_TRUE(
       BitwiseEqual(stats->cross_products(), full->cross_products()));
 }
@@ -1393,30 +1314,18 @@ TEST(GramKernelTest, BackendsBitwiseIdenticalAcrossBattery) {
   }
 }
 
-TEST(GramKernelTest, AppendPathsBitwiseIdenticalPerBackend) {
-  // The incremental AppendColumns / AppendRows paths route through the
-  // same kernel hooks (cross, pack, present-bits); each backend must
-  // land on the bitwise recompute just like the scalar one does.
+TEST(GramKernelTest, AppendRowsBitwiseIdenticalPerBackend) {
+  // AppendRows re-sweeps through the same kernel hooks (pack,
+  // present-bits, tiles); each backend must land on the bitwise
+  // recompute just like the scalar one does.
   const std::size_t n0 = 150, n1 = 221;
   auto data = NoisyData(9, n1, 0.05, 311);
-  auto extra = NoisyData(3, n0, 0.0, 313);
   for (const GramKernelFns* k : AvailableGramKernels()) {
     KernelOverride use(k);
     NumericDataset base;
     base.columns = PrefixSpans(data, n0);
     auto stats = SufficientStats::Compute(base);
     ASSERT_TRUE(stats.ok()) << k->name;
-
-    auto cols_appended = *stats;
-    ASSERT_TRUE(cols_appended.AppendColumns(cdi::SpansOf(extra)).ok())
-        << k->name;
-    NumericDataset wide = base;
-    for (const auto& col : extra) wide.columns.emplace_back(col);
-    auto wide_full = SufficientStats::Compute(wide);
-    ASSERT_TRUE(wide_full.ok()) << k->name;
-    EXPECT_TRUE(BitwiseEqual(cols_appended.cross_products(),
-                             wide_full->cross_products()))
-        << k->name;
 
     auto rows_appended = *stats;
     ASSERT_TRUE(rows_appended.AppendRows(cdi::SpansOf(data), n1 - n0).ok())

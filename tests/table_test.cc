@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
-#include "table/aggregate.h"
 #include "table/csv.h"
-#include "table/join.h"
 #include "table/table.h"
 #include "table/value.h"
 
@@ -180,6 +179,68 @@ TEST(TableTest, DistinctRows) {
   EXPECT_EQ(d.num_rows(), 3u);  // (a,1), (b,2), (a,3)
 }
 
+// Rows key on exact typed values, never on a decimal rendering: doubles
+// one ulp apart are two values.
+TEST(TableTest, DistinctRowsKeepsDoublesOneUlpApart) {
+  const double a = 0.1;
+  const double b = std::nextafter(a, 1.0);
+  ASSERT_NE(a, b);
+  Table t("t");
+  CDI_CHECK(t.AddColumn(Column::FromDoubles("x", {a, b, a})).ok());
+  Table d = t.DistinctRows();
+  ASSERT_EQ(d.num_rows(), 2u);
+  EXPECT_EQ(d.GetCell(0, "x")->as_double(), a);
+  EXPECT_EQ(d.GetCell(1, "x")->as_double(), b);
+}
+
+// An int64 cell keys on its own 64 bits: 2^53 and 2^53 + 1 widen to one
+// double, but they are two values.
+TEST(TableTest, DistinctRowsKeepsInt64ValuesAbove2To53) {
+  const int64_t a = int64_t{1} << 53;
+  const int64_t b = a + 1;
+  ASSERT_EQ(static_cast<double>(a), static_cast<double>(b));
+  Table t("t");
+  CDI_CHECK(t.AddColumn(Column::FromInts("v", {a, b, b})).ok());
+  Table d = t.DistinctRows();
+  ASSERT_EQ(d.num_rows(), 2u);
+  EXPECT_EQ(d.GetCell(0, "v")->as_int64(), a);
+  EXPECT_EQ(d.GetCell(1, "v")->as_int64(), b);
+}
+
+TEST(TableTest, DistinctRowsGroupsNullsWithNulls) {
+  Table t("t");
+  Column k("k", DataType::kString);
+  Column v("v", DataType::kInt64);
+  for (const char* s : {"a", "", "a", ""}) {
+    CDI_CHECK(k.Append(*s ? Value(s) : Value::Null()).ok());
+    CDI_CHECK(v.Append(Value::Null()).ok());
+  }
+  CDI_CHECK(t.AddColumn(std::move(k)).ok());
+  CDI_CHECK(t.AddColumn(std::move(v)).ok());
+  Table d = t.DistinctRows();
+  ASSERT_EQ(d.num_rows(), 2u);  // (a, null), (null, null)
+  EXPECT_EQ(d.GetCell(0, "k")->as_string(), "a");
+  EXPECT_TRUE(d.GetCell(1, "k")->is_null());
+  EXPECT_TRUE(d.GetCell(1, "v")->is_null());
+}
+
+// A NaN stored as a value (not a null) keys on one canonical pattern, so
+// NaNs of any sign or payload are one value.
+TEST(TableTest, DistinctRowsGroupsEveryNanWithEveryNan) {
+  Column x("x", DataType::kDouble);
+  CDI_CHECK(x.AppendDouble(std::numeric_limits<double>::quiet_NaN()).ok());
+  CDI_CHECK(x.AppendDouble(-std::numeric_limits<double>::quiet_NaN()).ok());
+  CDI_CHECK(x.AppendDouble(std::nan("7")).ok());
+  CDI_CHECK(x.AppendDouble(1.0).ok());
+  ASSERT_EQ(x.NullCount(), 0u);
+  Table t("t");
+  CDI_CHECK(t.AddColumn(std::move(x)).ok());
+  Table d = t.DistinctRows();
+  ASSERT_EQ(d.num_rows(), 2u);
+  EXPECT_TRUE(std::isnan(d.GetCell(0, "x")->as_double()));
+  EXPECT_EQ(d.GetCell(1, "x")->as_double(), 1.0);
+}
+
 TEST(TableTest, HeadAndToString) {
   Table t = MakeCities();
   EXPECT_EQ(t.Head(2).num_rows(), 2u);
@@ -326,208 +387,6 @@ TEST(CsvTest, FileRoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->num_rows(), 4u);
   EXPECT_FALSE(ReadCsvFile("/definitely/not/there.csv").ok());
-}
-
-// --------------------------------------------------------------- GroupBy
-
-TEST(AggregateTest, GroupByMeanSumCount) {
-  Table t("t");
-  CDI_CHECK(
-      t.AddColumn(Column::FromStrings("g", {"a", "a", "b", "b", "b"})).ok());
-  CDI_CHECK(t.AddColumn(Column::FromDoubles("v", {1, 3, 10, 20, 30})).ok());
-  auto g = GroupBy(t, {"g"},
-                   {{"v", AggKind::kMean, "m"},
-                    {"v", AggKind::kSum, "s"},
-                    {"v", AggKind::kCount, "n"}});
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g->num_rows(), 2u);
-  EXPECT_DOUBLE_EQ(g->GetCell(0, "m")->as_double(), 2.0);
-  EXPECT_DOUBLE_EQ(g->GetCell(1, "s")->as_double(), 60.0);
-  EXPECT_EQ(g->GetCell(1, "n")->as_int64(), 3);
-}
-
-TEST(AggregateTest, MinMaxMedianFirst) {
-  Table t("t");
-  CDI_CHECK(t.AddColumn(Column::FromStrings("g", {"a", "a", "a"})).ok());
-  CDI_CHECK(t.AddColumn(Column::FromDoubles("v", {5, 1, 3})).ok());
-  CDI_CHECK(t.AddColumn(Column::FromStrings("s", {"x", "y", "z"})).ok());
-  auto g = GroupBy(t, {"g"},
-                   {{"v", AggKind::kMin, "lo"},
-                    {"v", AggKind::kMax, "hi"},
-                    {"v", AggKind::kMedian, "med"},
-                    {"s", AggKind::kFirst, "first_s"}});
-  ASSERT_TRUE(g.ok());
-  EXPECT_DOUBLE_EQ(g->GetCell(0, "lo")->as_double(), 1.0);
-  EXPECT_DOUBLE_EQ(g->GetCell(0, "hi")->as_double(), 5.0);
-  EXPECT_DOUBLE_EQ(g->GetCell(0, "med")->as_double(), 3.0);
-  EXPECT_EQ(g->GetCell(0, "first_s")->as_string(), "x");
-}
-
-TEST(AggregateTest, NullsSkippedAndAllNullGroup) {
-  Table t("t");
-  CDI_CHECK(t.AddColumn(Column::FromStrings("g", {"a", "a", "b"})).ok());
-  CDI_CHECK(t.AddColumn(
-                 Column::FromDoubles("v", {1.0, std::nan(""), std::nan("")}))
-                .ok());
-  auto g = GroupBy(t, {"g"}, {{"v", AggKind::kMean, "m"}});
-  ASSERT_TRUE(g.ok());
-  EXPECT_DOUBLE_EQ(g->GetCell(0, "m")->as_double(), 1.0);
-  EXPECT_TRUE(g->GetCell(1, "m")->is_null());
-}
-
-TEST(AggregateTest, CannotAverageStrings) {
-  Table t("t");
-  CDI_CHECK(t.AddColumn(Column::FromStrings("g", {"a"})).ok());
-  CDI_CHECK(t.AddColumn(Column::FromStrings("s", {"x"})).ok());
-  EXPECT_FALSE(GroupBy(t, {"g"}, {{"s", AggKind::kMean, ""}}).ok());
-}
-
-TEST(AggregateTest, CollapseByKeys) {
-  Table t("t");
-  CDI_CHECK(t.AddColumn(Column::FromStrings("k", {"a", "a", "b"})).ok());
-  CDI_CHECK(t.AddColumn(Column::FromDoubles("v", {1, 3, 7})).ok());
-  CDI_CHECK(t.AddColumn(Column::FromStrings("s", {"p", "q", "r"})).ok());
-  auto c = CollapseByKeys(t, {"k"});
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c->num_rows(), 2u);
-  EXPECT_DOUBLE_EQ(c->GetCell(0, "v")->as_double(), 2.0);
-  EXPECT_EQ(c->GetCell(0, "s")->as_string(), "p");
-  EXPECT_EQ(c->ColumnNames(), t.ColumnNames());  // names preserved
-}
-
-// ------------------------------------------------------------------ Join
-
-Table LeftTable() {
-  Table t("left");
-  CDI_CHECK(
-      t.AddColumn(Column::FromStrings("k", {"a", "b", "c", "d"})).ok());
-  CDI_CHECK(t.AddColumn(Column::FromInts("lv", {1, 2, 3, 4})).ok());
-  return t;
-}
-
-TEST(JoinTest, LeftJoinKeepsUnmatched) {
-  Table right("right");
-  CDI_CHECK(right.AddColumn(Column::FromStrings("k", {"a", "c"})).ok());
-  CDI_CHECK(right.AddColumn(Column::FromDoubles("rv", {10, 30})).ok());
-  auto j = HashJoin(LeftTable(), right, "k");
-  ASSERT_TRUE(j.ok());
-  EXPECT_EQ(j->num_rows(), 4u);
-  EXPECT_DOUBLE_EQ(j->GetCell(0, "rv")->as_double(), 10.0);
-  EXPECT_TRUE(j->GetCell(1, "rv")->is_null());
-  EXPECT_DOUBLE_EQ(j->GetCell(2, "rv")->as_double(), 30.0);
-}
-
-TEST(JoinTest, InnerJoinDropsUnmatched) {
-  Table right("right");
-  CDI_CHECK(right.AddColumn(Column::FromStrings("k", {"a", "c"})).ok());
-  CDI_CHECK(right.AddColumn(Column::FromDoubles("rv", {10, 30})).ok());
-  JoinOptions options;
-  options.type = JoinType::kInner;
-  auto j = HashJoin(LeftTable(), right, {"k"}, {"k"}, options);
-  ASSERT_TRUE(j.ok());
-  EXPECT_EQ(j->num_rows(), 2u);
-}
-
-TEST(JoinTest, AggregatePolicyAveragesDuplicates) {
-  Table right("right");
-  CDI_CHECK(
-      right.AddColumn(Column::FromStrings("k", {"a", "a", "a", "b"})).ok());
-  CDI_CHECK(right.AddColumn(Column::FromDoubles("rv", {1, 2, 3, 9})).ok());
-  auto j = HashJoin(LeftTable(), right, "k");  // default: aggregate + left
-  ASSERT_TRUE(j.ok());
-  EXPECT_EQ(j->num_rows(), 4u);
-  EXPECT_DOUBLE_EQ(j->GetCell(0, "rv")->as_double(), 2.0);  // mean(1,2,3)
-  EXPECT_DOUBLE_EQ(j->GetCell(1, "rv")->as_double(), 9.0);
-}
-
-TEST(JoinTest, ExpandPolicyMultipliesRows) {
-  Table right("right");
-  CDI_CHECK(right.AddColumn(Column::FromStrings("k", {"a", "a"})).ok());
-  CDI_CHECK(right.AddColumn(Column::FromDoubles("rv", {1, 2})).ok());
-  JoinOptions options;
-  options.type = JoinType::kInner;
-  options.multi_match = MultiMatchPolicy::kExpand;
-  auto j = HashJoin(LeftTable(), right, {"k"}, {"k"}, options);
-  ASSERT_TRUE(j.ok());
-  EXPECT_EQ(j->num_rows(), 2u);
-}
-
-TEST(JoinTest, NameCollisionGetsSuffix) {
-  Table right("right");
-  CDI_CHECK(right.AddColumn(Column::FromStrings("k", {"a"})).ok());
-  CDI_CHECK(right.AddColumn(Column::FromDoubles("lv", {7.0})).ok());
-  auto j = HashJoin(LeftTable(), right, "k");
-  ASSERT_TRUE(j.ok());
-  EXPECT_TRUE(j->HasColumn("lv"));
-  EXPECT_TRUE(j->HasColumn("lv_r"));
-}
-
-TEST(JoinTest, MultiKeyJoin) {
-  Table left("l");
-  CDI_CHECK(left.AddColumn(Column::FromStrings("k1", {"a", "a"})).ok());
-  CDI_CHECK(left.AddColumn(Column::FromStrings("k2", {"x", "y"})).ok());
-  Table right("r");
-  CDI_CHECK(right.AddColumn(Column::FromStrings("k1", {"a", "a"})).ok());
-  CDI_CHECK(right.AddColumn(Column::FromStrings("k2", {"y", "z"})).ok());
-  CDI_CHECK(right.AddColumn(Column::FromInts("v", {1, 2})).ok());
-  auto j = HashJoin(left, right, {"k1", "k2"}, {"k1", "k2"});
-  ASSERT_TRUE(j.ok());
-  EXPECT_TRUE(j->GetCell(0, "v")->is_null());
-  // Aggregation policy averages the right side, widening ints.
-  EXPECT_DOUBLE_EQ(j->GetCell(1, "v")->ToNumeric(), 1.0);
-}
-
-TEST(JoinTest, NullKeysNeverMatch) {
-  Table left("l");
-  Column k("k", DataType::kString);
-  CDI_CHECK(k.Append(Value::Null()).ok());
-  CDI_CHECK(k.Append(Value("a")).ok());
-  CDI_CHECK(left.AddColumn(std::move(k)).ok());
-  Table right("r");
-  Column rk("k", DataType::kString);
-  CDI_CHECK(rk.Append(Value::Null()).ok());
-  CDI_CHECK(right.AddColumn(std::move(rk)).ok());
-  CDI_CHECK(right.AddColumn(Column::FromInts("v", {5})).ok());
-  auto j = HashJoin(left, right, "k");
-  ASSERT_TRUE(j.ok());
-  EXPECT_TRUE(j->GetCell(0, "v")->is_null());
-}
-
-TEST(JoinTest, EmptyKeysRejected) {
-  const std::vector<std::string> none;
-  const std::vector<std::string> just_k = {"k"};
-  EXPECT_FALSE(HashJoin(LeftTable(), LeftTable(), none, none).ok());
-  EXPECT_FALSE(HashJoin(LeftTable(), LeftTable(), just_k, none).ok());
-}
-
-TEST(JoinTest, DoubleKeysJoinOnExactBitPatterns) {
-  // Two doubles that agree to 17 significant digits but differ in the
-  // last bit. A decimal-rendered join key would conflate them; the typed
-  // key must not.
-  const double a = 0.1;
-  const double b = std::nextafter(a, 1.0);
-  ASSERT_NE(a, b);
-  Table left("l");
-  CDI_CHECK(left.AddColumn(Column::FromDoubles("k", {a, b})).ok());
-  Table right("r");
-  CDI_CHECK(right.AddColumn(Column::FromDoubles("k", {b})).ok());
-  CDI_CHECK(right.AddColumn(Column::FromInts("v", {7})).ok());
-  auto j = HashJoin(left, right, "k");
-  ASSERT_TRUE(j.ok());
-  EXPECT_TRUE(j->GetCell(0, "v")->is_null());  // a must not match b
-  EXPECT_DOUBLE_EQ(j->GetCell(1, "v")->ToNumeric(), 7.0);
-}
-
-TEST(JoinTest, IntAndDoubleKeysMatchNumerically) {
-  Table left("l");
-  CDI_CHECK(left.AddColumn(Column::FromInts("k", {3, 4})).ok());
-  Table right("r");
-  CDI_CHECK(right.AddColumn(Column::FromDoubles("k", {3.0})).ok());
-  CDI_CHECK(right.AddColumn(Column::FromInts("v", {9})).ok());
-  auto j = HashJoin(left, right, "k");
-  ASSERT_TRUE(j.ok());
-  EXPECT_DOUBLE_EQ(j->GetCell(0, "v")->ToNumeric(), 9.0);
-  EXPECT_TRUE(j->GetCell(1, "v")->is_null());
 }
 
 // ----------------------------------------------- typed storage semantics

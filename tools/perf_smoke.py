@@ -2,20 +2,26 @@
 """Perf smoke gate for the kernel and serving-layer benchmarks.
 
 Runs the bench_micro kernel benchmarks (blocked covariance, reference
-kernel, incremental append) plus the query-serving paths (cache hit,
-cache miss, single-flight coalescing, planned-query steady state, C-DAG
-artifact build, summarization build and cached-summary hit) with a short
---benchmark_min_time, then compares per-benchmark cpu_time against the
-checked-in baseline (BENCH.json at the repo root, the one baseline
-file). Exits non-zero when the benchmark binary crashes or any benchmark
-regresses by more than --max-regression (default 3x) — a deliberately
-loose bound that tolerates runner-to-runner variance while still catching
-algorithmic regressions (e.g. the blocked kernel silently falling back to
-a quadratic path).
+kernel, row append), the extraction and organizer stages, and the
+query-serving paths (cache hit, cache miss, single-flight coalescing,
+planned-query steady state, C-DAG artifact build, summarization build and
+cached-summary hit) with a short --benchmark_min_time, then compares
+per-benchmark cpu_time against the checked-in baseline (BENCH.json at the
+repo root, the one baseline file). Exits non-zero when the benchmark
+binary crashes or any benchmark regresses by more than --max-regression
+(default 3x) — a deliberately loose bound that tolerates runner-to-runner
+variance while still catching algorithmic regressions (e.g. the blocked
+kernel silently falling back to a quadratic path).
+
+Run it pinned to one CPU, as the baseline was recorded and as CI runs it:
+the threaded entries (threads:4/8, the planned-query worker hand-off)
+measure cross-CPU scheduling on a multi-core machine, not the code.
+`taskset` sets the affinity of this process and the benchmark it starts
+only.
 
 Usage:
-  perf_smoke.py --bench build/bench/bench_micro [--baseline BENCH.json]
-  perf_smoke.py --bench build/bench/bench_micro --write-baseline BENCH.json
+  taskset -c 0 perf_smoke.py --bench build/bench/bench_micro [--baseline BENCH.json]
+  taskset -c 0 perf_smoke.py --bench build/bench/bench_micro --write-baseline BENCH.json
 """
 
 import argparse
@@ -23,12 +29,13 @@ import json
 import subprocess
 import sys
 
-# The benchmarks guarded by this gate: the statistics kernels plus the
-# serving-layer paths. Unrelated benches (joins, pipeline end-to-end)
-# stay out so they don't add noise.
+# The benchmarks guarded by this gate: the statistics kernels, the
+# extraction and organizer stages of a cold build, and the serving-layer
+# paths. Unrelated benches (pipeline end-to-end, scaling sweeps) stay out
+# so they don't add noise.
 BENCH_FILTER = (
     "BM_CorrelationMatrix|BM_CovarianceReference|BM_CovarianceBlockedSweep|"
-    "BM_SufficientStatsAppend|BM_AppendRows|BM_ServeCacheHit|"
+    "BM_AppendRows|BM_KnowledgeExtract|BM_DataOrganize|BM_ServeCacheHit|"
     "BM_ServeCacheMiss|BM_ServeSingleFlight|BM_ServePlannedQuery|"
     "BM_CdagArtifactBuild|BM_UpdateScenario|"
     "BM_RegisterScenario|BM_RegistryLookupSharded|BM_EvictionChurn|"
