@@ -600,9 +600,11 @@ void BM_ServeCacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeCacheHit)->UseRealTime()->Threads(1)->Threads(8);
 
-/// Cold path: every iteration invalidates the cache, so the request runs
-/// the full pipeline on a worker (the serving-layer overhead rides on a
-/// complete COVID run).
+/// Cold path: every iteration invalidates the result cache, so the
+/// request runs the full pipeline on a worker (the serving-layer overhead
+/// rides on a complete COVID run). InvalidateCache keeps the epoch's
+/// candidate profile, so every miss after the first reads it warm and
+/// extraction is only SelectAttributes.
 void BM_ServeCacheMiss(benchmark::State& state) {
   auto& f = ServeFixture::Get();
   for (auto _ : state) {

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace cdi {
 
@@ -35,12 +36,51 @@ class Stopwatch {
 /// actual wall clock.
 class LatencyMeter {
  public:
+  /// A run of consecutive identical charges, as a logging meter records
+  /// them.
+  struct ChargeRun {
+    std::string service;
+    double seconds_per_call = 0.0;
+    int64_t calls = 0;
+  };
+
+  /// A meter that also logs every charge, in order (see log()).
+  static LatencyMeter Logging() {
+    LatencyMeter meter;
+    meter.logging_ = true;
+    return meter;
+  }
+
   /// Charges one call of `service` at `seconds_per_call`.
   void Charge(const std::string& service, double seconds_per_call) {
     auto& e = entries_[service];
     e.calls += 1;
     e.seconds += seconds_per_call;
+    if (!logging_) return;
+    if (!log_.empty() && log_.back().service == service &&
+        log_.back().seconds_per_call == seconds_per_call) {
+      ++log_.back().calls;
+    } else {
+      log_.push_back({service, seconds_per_call, 1});
+    }
   }
+
+  /// Charges every call of `log` in order, one addition per call, so the
+  /// totals match bit for bit what the logged calls would have charged
+  /// here. Adding each run's total at once would not: floating-point sums
+  /// depend on grouping.
+  void Replay(const std::vector<ChargeRun>& log) {
+    for (const ChargeRun& run : log) {
+      auto& e = entries_[run.service];
+      for (int64_t i = 0; i < run.calls; ++i) {
+        e.calls += 1;
+        e.seconds += run.seconds_per_call;
+      }
+    }
+  }
+
+  /// The charges of a Logging() meter, in order; empty otherwise.
+  const std::vector<ChargeRun>& log() const { return log_; }
 
   /// Total simulated seconds across all services.
   double TotalSeconds() const {
@@ -73,6 +113,8 @@ class LatencyMeter {
 
  private:
   std::map<std::string, Entry> entries_;
+  bool logging_ = false;
+  std::vector<ChargeRun> log_;
 };
 
 }  // namespace cdi

@@ -75,11 +75,17 @@ Result<OrganizerResult> DataOrganizer::Organize(
   OrganizerResult result;
 
   // ---- 1. Duplicate removal. ----------------------------------------------
-  table::Table t = augmented.DistinctRows();
-  result.duplicate_rows_removed = augmented.num_rows() - t.num_rows();
+  // Rows are copied only when one repeats. Step 2 reads `src` in place,
+  // and the organized table copies just the columns step 2 keeps.
+  const std::vector<std::size_t> keep = augmented.DistinctRowIndices();
+  result.duplicate_rows_removed = augmented.num_rows() - keep.size();
+  table::Table deduped;
+  if (result.duplicate_rows_removed > 0) deduped = augmented.TakeRows(keep);
+  const table::Table& src =
+      result.duplicate_rows_removed > 0 ? deduped : augmented;
 
-  CDI_ASSIGN_OR_RETURN(const table::Column* tcol, t.GetColumn(exposure));
-  CDI_ASSIGN_OR_RETURN(const table::Column* ocol, t.GetColumn(outcome));
+  CDI_ASSIGN_OR_RETURN(const table::Column* tcol, src.GetColumn(exposure));
+  CDI_ASSIGN_OR_RETURN(const table::Column* ocol, src.GetColumn(outcome));
   // Deliberate deep copies, not views: winsorization (step 3) rewrites
   // numeric columns — including the outcome — in place, and steps 2/4 must
   // see the pre-winsorization exposure/outcome values.
@@ -87,15 +93,15 @@ Result<OrganizerResult> DataOrganizer::Organize(
   const std::vector<double> o_vals = ocol->ToDoubles();
   // Every numeric column is sorted once: its rank order feeds both the
   // Spearman screen of step 2 and the median of step 3. orders[i] belongs
-  // to column i of `t` before any drop.
+  // to column i of `src`.
   const std::vector<std::size_t> t_order = stats::RankOrder(t_vals);
   const std::vector<std::size_t> o_order = stats::RankOrder(o_vals);
-  std::vector<std::vector<std::size_t>> orders(t.num_cols());
-  std::vector<bool> dropped(t.num_cols(), false);
+  std::vector<std::vector<std::size_t>> orders(src.num_cols());
+  std::vector<bool> dropped(src.num_cols(), false);
 
   // ---- 2. Functional dependencies with exposure/outcome. --------------------
-  for (std::size_t i = 0; i < t.num_cols(); ++i) {
-    const table::Column& col = t.ColumnAt(i);
+  for (std::size_t i = 0; i < src.num_cols(); ++i) {
+    const table::Column& col = src.ColumnAt(i);
     const std::string& name = col.name();
     if (name == exposure || name == outcome || name == entity_column) continue;
     bool drop = false;
@@ -120,7 +126,7 @@ Result<OrganizerResult> DataOrganizer::Organize(
                options_.drop_string_fds) {
       // A string attribute whose values pin down the exposure violates
       // strict positivity (conditioning on it fixes T).
-      CDI_ASSIGN_OR_RETURN(bool fd_to_t, HoldsFd(t, name, exposure));
+      CDI_ASSIGN_OR_RETURN(bool fd_to_t, HoldsFd(src, name, exposure));
       if (fd_to_t) drop = true;
     }
     if (drop) {
@@ -128,8 +134,9 @@ Result<OrganizerResult> DataOrganizer::Organize(
       dropped[i] = true;
     }
   }
-  for (const auto& name : result.dropped_fd_attributes) {
-    CDI_RETURN_IF_ERROR(t.DropColumn(name));
+  table::Table t(src.name());
+  for (std::size_t i = 0; i < src.num_cols(); ++i) {
+    if (!dropped[i]) CDI_RETURN_IF_ERROR(t.AddColumn(src.ColumnAt(i)));
   }
 
   // ---- 3. Outlier winsorization (robust z via median/MAD). ------------------

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <map>
+#include <utility>
 
 #include "common/span.h"
 #include "stats/correlation.h"
@@ -25,7 +26,7 @@ std::size_t PairwiseCount(cdi::DoubleSpan a, cdi::DoubleSpan b) {
 }
 
 /// A relevance reference with the work every candidate would otherwise
-/// redo computed once per Extract: its rank order (Spearman) and its
+/// redo computed once per profile: its rank order (Spearman) and its
 /// tercile bins (the nonlinear test), the latter read off the former.
 struct Reference {
   cdi::DoubleSpan vals;
@@ -33,89 +34,75 @@ struct Reference {
   std::vector<int> bins;
 };
 
-/// Outlier-robust association: max of |Pearson| and |Spearman|.
-double RobustAbsCorr(cdi::DoubleSpan a, const std::vector<std::size_t>& order,
-                     const Reference& ref) {
-  return std::max(
-      AbsCorr(stats::PearsonCorrelation(a, ref.vals)),
-      AbsCorr(stats::SpearmanFromOrders(a, order, ref.vals, ref.order)));
-}
-
 }  // namespace
 
-Result<ExtractionResult> KnowledgeExtractor::Extract(
+std::size_t CandidateProfile::ReferenceIndex(const std::string& name) const {
+  return static_cast<std::size_t>(
+      std::find(references.begin(), references.end(), name) -
+      references.begin());
+}
+
+Result<CandidateProfile> KnowledgeExtractor::BuildProfile(
     const table::Table& input, const std::string& entity_column,
-    const std::string& exposure, const std::string& outcome,
-    LatencyMeter* meter) const {
+    const std::vector<std::string>& extra_references) const {
   CDI_ASSIGN_OR_RETURN(const table::Column* key_col,
                        input.GetColumn(entity_column));
   if (key_col->type() != table::DataType::kString) {
     return Status::InvalidArgument("entity column must be a string column");
   }
-  CDI_ASSIGN_OR_RETURN(const table::Column* tcol, input.GetColumn(exposure));
-  CDI_ASSIGN_OR_RETURN(const table::Column* ocol, input.GetColumn(outcome));
-  // Zero-copy views over `input`, which outlives every use below (the
-  // augmented copy is assembled separately).
-  const DoubleSpan t_vals = tcol->View();
-  const DoubleSpan o_vals = ocol->View();
-  // Relevance references: the exposure, the outcome, and every observed
-  // numeric input attribute — an extracted attribute associated with any
-  // variable already in the analysis is a candidate parent/child of it and
-  // therefore relevant for the causal DAG.
-  std::vector<DoubleSpan> reference_vals = {t_vals, o_vals};
-  for (const auto& name : input.ColumnNames()) {
-    if (name == entity_column || name == exposure || name == outcome) continue;
-    auto col = input.GetColumn(name);
-    if (col.ok() && table::IsNumeric((*col)->type())) {
-      reference_vals.push_back((*col)->View());
-    }
-  }
+  CandidateProfile profile;
+  // Relevance references: every observed numeric input attribute — an
+  // extracted attribute associated with any variable already in the
+  // analysis is a candidate parent/child of it and therefore relevant for
+  // the causal DAG. Zero-copy views over `input`, which outlives every use
+  // below.
   std::vector<Reference> references;
-  references.reserve(reference_vals.size());
-  for (const DoubleSpan& vals : reference_vals) {
-    Reference ref{vals, stats::RankOrder(vals), {}};
+  const auto add_reference = [&](const table::Column& col) {
+    profile.references.push_back(col.name());
+    Reference ref{col.View(), {}, {}};
+    ref.order = stats::RankOrder(ref.vals);
     if (options_.nonlinear_relevance) {
-      ref.bins = stats::QuantileBin(vals, ref.order, 3);
+      ref.bins = stats::QuantileBin(ref.vals, ref.order, 3);
     }
     references.push_back(std::move(ref));
-  }
-  // Relevance of a numeric column: strongest robust association with any
-  // reference, with its significance. References 0 and 1 are the exposure
-  // and the outcome.
-  auto score_relevance = [&](DoubleSpan vals,
-                             double* corr_t, double* corr_o,
-                             double* relevance, bool* significant) {
-    const std::vector<std::size_t> order = stats::RankOrder(vals);
-    *relevance = 0.0;
-    double best_p = 1.0;
-    for (std::size_t k = 0; k < references.size(); ++k) {
-      const double r = RobustAbsCorr(vals, order, references[k]);
-      if (k == 0) *corr_t = r;
-      if (k == 1) *corr_o = r;
-      const std::size_t n = PairwiseCount(vals, references[k].vals);
-      best_p = std::min(best_p, stats::FisherZPValue(r, n, 0));
-      *relevance = std::max(*relevance, r);
+  };
+  for (std::size_t c = 0; c < input.num_cols(); ++c) {
+    const table::Column& col = input.ColumnAt(c);
+    if (col.name() != entity_column && table::IsNumeric(col.type())) {
+      add_reference(col);
     }
-    if (options_.nonlinear_relevance) {
-      // Binned chi-square catches non-monotone associations Pearson and
-      // Spearman both miss (e.g. a U-shaped confounder). Cramer's V serves
-      // as its effect size for the magnitude floor.
-      const auto bv = stats::QuantileBin(vals, order, 3);
-      for (const auto& ref : references) {
-        auto r = stats::ChiSquareIndependence(bv, ref.bins);
-        if (r.ok()) {
-          best_p = std::min(best_p, r->p_value);
-          if (r->p_value < options_.relevance_alpha) {
-            *relevance = std::max(*relevance, r->strength);
-          }
+  }
+  for (const std::string& name : extra_references) {
+    CDI_ASSIGN_OR_RETURN(const table::Column* col, input.GetColumn(name));
+    add_reference(*col);
+  }
+  // A numeric column's association with every reference.
+  auto score = [&](DoubleSpan vals) {
+    const std::vector<std::size_t> order = stats::RankOrder(vals);
+    const std::vector<int> bins =
+        options_.nonlinear_relevance ? stats::QuantileBin(vals, order, 3)
+                                     : std::vector<int>();
+    std::vector<CandidateProfile::Score> scores(references.size());
+    for (std::size_t k = 0; k < references.size(); ++k) {
+      const Reference& ref = references[k];
+      CandidateProfile::Score& s = scores[k];
+      s.pearson = stats::PearsonCorrelation(vals, ref.vals);
+      s.robust = std::max(
+          AbsCorr(s.pearson),
+          AbsCorr(stats::SpearmanFromOrders(vals, order, ref.vals, ref.order)));
+      s.fisher_p =
+          stats::FisherZPValue(s.robust, PairwiseCount(vals, ref.vals), 0);
+      if (options_.nonlinear_relevance) {
+        // Binned chi-square catches non-monotone associations Pearson and
+        // Spearman both miss (e.g. a U-shaped confounder).
+        auto chi = stats::ChiSquareIndependence(bins, ref.bins);
+        if (chi.ok()) {
+          s.chi_p = chi->p_value;
+          s.chi_strength = chi->strength;
         }
       }
     }
-    // Bonferroni across the reference columns, so pure-noise attributes do
-    // not slip in just because many references were tried.
-    *significant =
-        best_p < options_.relevance_alpha /
-                     static_cast<double>(references.size());
+    return scores;
   };
 
   std::vector<std::string> keys;
@@ -123,78 +110,122 @@ Result<ExtractionResult> KnowledgeExtractor::Extract(
   for (std::size_t r = 0; r < input.num_rows(); ++r) {
     keys.push_back(key_col->IsNull(r) ? "" : key_col->StringAt(r));
   }
-
-  ExtractionResult result;
-  result.augmented = input;
-
-  struct Candidate {
-    table::Column column;
-    ExtractedAttribute info;
-    double relevance = 0.0;
-    bool significant = true;
-  };
-  std::vector<Candidate> candidates;
+  LatencyMeter log = LatencyMeter::Logging();
 
   // ---- Knowledge-graph extraction. ---------------------------------------
   if (kg_ != nullptr) {
     CDI_ASSIGN_OR_RETURN(
         table::Table kg_table,
         kg_->ExtractProperties(keys, /*key_name=*/"",
-                               options_.follow_kg_links, meter));
+                               options_.follow_kg_links, &log));
     for (std::size_t c = 0; c < kg_table.num_cols(); ++c) {
-      const table::Column& col = kg_table.ColumnAt(c);
-      ++result.kg_columns_found;
-      Candidate cand{col, {}, 0.0};
-      cand.info.name = col.name();
-      cand.info.source = "knowledge_graph";
+      table::Column& col = kg_table.MutableColumnAt(c);
+      std::vector<CandidateProfile::Score> scores;
       if (table::IsNumeric(col.type()) ||
           col.type() == table::DataType::kBool) {
-        score_relevance(col.View(), &cand.info.corr_with_exposure,
-                        &cand.info.corr_with_outcome, &cand.relevance,
-                        &cand.significant);
-      } else {
-        cand.relevance = 1.0;  // strings judged later by the organizer
-        cand.significant = true;
+        scores = score(col.View());
       }
-      candidates.push_back(std::move(cand));
+      profile.kg.push_back(
+          {std::move(col), "knowledge_graph", 0, std::move(scores)});
     }
   }
 
   // ---- Data-lake extraction. ----------------------------------------------
   if (lake_ != nullptr) {
-    // Join every numeric column of every joinable table once, rank the
-    // joined columns by association with the outcome, then with the
-    // exposure, and take candidates from the two rankings in turn.
-    std::vector<knowledge::DataLake::JoinedColumn> joined =
-        lake_->JoinColumns(keys, options_.min_containment, meter);
-    auto rank_by = [&joined](DoubleSpan target) {
-      std::vector<std::pair<double, std::size_t>> ranked;
-      for (std::size_t j = 0; j < joined.size(); ++j) {
-        const double r = stats::PearsonCorrelation(joined[j].values, target);
-        if (!std::isnan(r)) ranked.push_back({std::fabs(r), j});
+    std::map<std::pair<std::size_t, std::string>, std::size_t> groups;
+    for (auto& jc : lake_->JoinColumns(keys, options_.min_containment, &log)) {
+      const std::size_t group =
+          groups.try_emplace({jc.table_index, jc.value_column},
+                             profile.lake.size())
+              .first->second;
+      std::vector<CandidateProfile::Score> scores = score(jc.values);
+      profile.lake.push_back(
+          {table::Column::FromDoubles(std::move(jc.value_column),
+                                      std::move(jc.values)),
+           lake_->tables()[jc.table_index].name(), group, std::move(scores)});
+    }
+  }
+  profile.charges = log.log();
+  return profile;
+}
+
+Result<ExtractionResult> KnowledgeExtractor::SelectAttributes(
+    const CandidateProfile& profile, const table::Table& input,
+    const std::string& exposure, const std::string& outcome,
+    LatencyMeter* meter) const {
+  const std::size_t kt = profile.ReferenceIndex(exposure);
+  const std::size_t ko = profile.ReferenceIndex(outcome);
+  if (kt == profile.references.size() || ko == profile.references.size()) {
+    return Status::InvalidArgument(
+        "exposure '" + exposure + "' and outcome '" + outcome +
+        "' must both be relevance references of the candidate profile");
+  }
+  if (meter != nullptr) meter->Replay(profile.charges);
+
+  struct Candidate {
+    const CandidateProfile::Candidate* from;
+    ExtractedAttribute info;
+    double relevance = 1.0;  // strings: judged later by the organizer
+    bool significant = true;
+  };
+  // Relevance of a numeric candidate: strongest robust association with
+  // any reference, with its significance. Max, min and the reference
+  // count do not depend on the references' order.
+  const auto make = [&](const CandidateProfile::Candidate& c) {
+    Candidate cand{&c, {}};
+    cand.info.name = c.column.name();
+    cand.info.source = c.source;
+    if (c.scores.empty()) return cand;
+    cand.info.corr_with_exposure = c.scores[kt].robust;
+    cand.info.corr_with_outcome = c.scores[ko].robust;
+    cand.relevance = 0.0;
+    double best_p = 1.0;
+    for (const CandidateProfile::Score& s : c.scores) {
+      best_p = std::min(best_p, s.fisher_p);
+      cand.relevance = std::max(cand.relevance, s.robust);
+    }
+    // A failed chi-square test is NaN, which neither comparison takes.
+    // Cramer's V serves as its effect size for the magnitude floor.
+    for (const CandidateProfile::Score& s : c.scores) {
+      best_p = std::min(best_p, s.chi_p);
+      if (s.chi_p < options_.relevance_alpha) {
+        cand.relevance = std::max(cand.relevance, s.chi_strength);
       }
-      std::stable_sort(ranked.begin(), ranked.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.first > b.first;
-                       });
-      return ranked;
-    };
-    std::set<std::pair<std::size_t, std::string>> seen;
-    for (const DoubleSpan& target : {o_vals, t_vals}) {
-      for (const auto& [abs_r, j] : rank_by(target)) {
-        auto& jc = joined[j];
-        if (!seen.insert({jc.table_index, jc.value_column}).second) continue;
-        ++result.lake_columns_found;
-        Candidate cand{table::Column::FromDoubles(jc.value_column, jc.values),
-                       {},
-                       0.0};
-        cand.info.name = jc.value_column;
-        cand.info.source = lake_->tables()[jc.table_index].name();
-        score_relevance(jc.values, &cand.info.corr_with_exposure,
-                        &cand.info.corr_with_outcome, &cand.relevance,
-                        &cand.significant);
-        candidates.push_back(std::move(cand));
-      }
+    }
+    // Bonferroni across the reference columns, so pure-noise attributes do
+    // not slip in just because many references were tried.
+    cand.significant =
+        best_p < options_.relevance_alpha /
+                     static_cast<double>(profile.references.size());
+    return cand;
+  };
+
+  ExtractionResult result;
+  result.augmented = input;
+  std::vector<Candidate> candidates;
+  for (const auto& c : profile.kg) candidates.push_back(make(c));
+  result.kg_columns_found = profile.kg.size();
+
+  // Rank the joined lake columns by association with the outcome, then
+  // with the exposure, and take candidates from the two rankings in turn.
+  std::vector<bool> seen(profile.lake.size(), false);
+  std::vector<std::pair<double, std::size_t>> ranked;
+  for (const std::size_t k : {ko, kt}) {
+    ranked.clear();
+    for (std::size_t j = 0; j < profile.lake.size(); ++j) {
+      const double r = profile.lake[j].scores[k].pearson;
+      if (!std::isnan(r)) ranked.push_back({std::fabs(r), j});
+    }
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first > b.first;
+                     });
+    for (const auto& [abs_r, j] : ranked) {
+      const CandidateProfile::Candidate& c = profile.lake[j];
+      if (seen[c.lake_group]) continue;
+      seen[c.lake_group] = true;
+      ++result.lake_columns_found;
+      candidates.push_back(make(c));
     }
   }
 
@@ -216,12 +247,36 @@ Result<ExtractionResult> KnowledgeExtractor::Extract(
       cand.info.kept = false;
       cand.info.drop_reason = "duplicate-name";
     } else {
-      CDI_RETURN_IF_ERROR(result.augmented.AddColumn(std::move(cand.column)));
+      CDI_RETURN_IF_ERROR(result.augmented.AddColumn(cand.from->column));
       ++kept;
     }
     result.attributes.push_back(std::move(cand.info));
   }
   return result;
+}
+
+Result<ExtractionResult> KnowledgeExtractor::Extract(
+    const table::Table& input, const std::string& entity_column,
+    const std::string& exposure, const std::string& outcome,
+    LatencyMeter* meter) const {
+  CDI_ASSIGN_OR_RETURN(const table::Column* key_col,
+                       input.GetColumn(entity_column));
+  if (key_col->type() != table::DataType::kString) {
+    return Status::InvalidArgument("entity column must be a string column");
+  }
+  CDI_ASSIGN_OR_RETURN(const table::Column* tcol, input.GetColumn(exposure));
+  CDI_ASSIGN_OR_RETURN(const table::Column* ocol, input.GetColumn(outcome));
+  // The exposure and the outcome are always references, once each, even
+  // when one is not a numeric column or both name the same column.
+  const auto in_profile = [&](const table::Column* col) {
+    return col->name() != entity_column && table::IsNumeric(col->type());
+  };
+  std::vector<std::string> extra;
+  if (!in_profile(tcol)) extra.push_back(exposure);
+  if (!in_profile(ocol) || tcol == ocol) extra.push_back(outcome);
+  CDI_ASSIGN_OR_RETURN(CandidateProfile profile,
+                       BuildProfile(input, entity_column, extra));
+  return SelectAttributes(profile, input, exposure, outcome, meter);
 }
 
 }  // namespace cdi::core

@@ -99,7 +99,8 @@ Result<PipelineResult> Pipeline::Run(const table::Table& input,
                                      const std::string& entity_column,
                                      const std::string& exposure,
                                      const std::string& outcome,
-                                     const CancelToken* cancel) const {
+                                     const CancelToken* cancel,
+                                     const CandidateProfile* profile) const {
   CDI_RETURN_IF_ERROR(ValidateRunInputs(input, entity_column, exposure,
                                         outcome));
 
@@ -111,9 +112,17 @@ Result<PipelineResult> Pipeline::Run(const table::Table& input,
   {
     Stopwatch sw;
     KnowledgeExtractor extractor(kg_, lake_, options_.extractor);
-    CDI_ASSIGN_OR_RETURN(result.extraction,
-                         extractor.Extract(input, entity_column, exposure,
-                                           outcome, &result.external));
+    if (profile != nullptr && profile->HasReference(exposure) &&
+        profile->HasReference(outcome)) {
+      CDI_ASSIGN_OR_RETURN(
+          result.extraction,
+          extractor.SelectAttributes(*profile, input, exposure, outcome,
+                                     &result.external));
+    } else {
+      CDI_ASSIGN_OR_RETURN(result.extraction,
+                           extractor.Extract(input, entity_column, exposure,
+                                             outcome, &result.external));
+    }
     result.timings.extract_seconds = sw.ElapsedSeconds();
   }
 

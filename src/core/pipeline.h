@@ -86,11 +86,18 @@ class Pipeline {
   /// estimation — and the run returns the token's kCancelled /
   /// kDeadlineExceeded status at the first expired checkpoint. Work
   /// already done inside a stage is discarded; no partial result escapes.
+  ///
+  /// `profile` (optional, borrowed) is a KnowledgeExtractor candidate
+  /// profile of `input` built under this pipeline's extractor options;
+  /// extraction then runs only SelectAttributes on it. The result is the
+  /// same bit for bit. A profile that lacks the exposure or outcome as a
+  /// reference (a non-numeric column) is not used.
   Result<PipelineResult> Run(const table::Table& input,
                              const std::string& entity_column,
                              const std::string& exposure,
                              const std::string& outcome,
-                             const CancelToken* cancel = nullptr) const;
+                             const CancelToken* cancel = nullptr,
+                             const CandidateProfile* profile = nullptr) const;
 
  private:
   const knowledge::KnowledgeGraph* kg_;

@@ -16,6 +16,7 @@ MetricsSnapshot MetricsSnapshot::Since(const MetricsSnapshot& earlier) const {
   out.coalesced = coalesced - earlier.coalesced;
   out.executions = executions - earlier.executions;
   out.plan_builds = plan_builds - earlier.plan_builds;
+  out.profile_builds = profile_builds - earlier.profile_builds;
   out.summary_builds = summary_builds - earlier.summary_builds;
   out.evicted_stale = evicted_stale - earlier.evicted_stale;
   out.epoch_rollovers = epoch_rollovers - earlier.epoch_rollovers;
@@ -27,6 +28,7 @@ MetricsSnapshot MetricsSnapshot::Since(const MetricsSnapshot& earlier) const {
   out.queue_depth_high_water = queue_depth_high_water;
   out.result_cache_entries = result_cache_entries;
   out.plan_cache_entries = plan_cache_entries;
+  out.profile_cache_entries = profile_cache_entries;
   out.summary_cache_entries = summary_cache_entries;
   out.registry_bytes = registry_bytes;
   out.registry_scenarios = registry_scenarios;
@@ -43,13 +45,15 @@ std::string MetricsSnapshot::ToLine() const {
       buf, sizeof(buf),
       "submitted=%llu served=%llu rejected=%llu failed=%llu "
       "deadline_exceeded=%llu cancelled=%llu cache_hits=%llu coalesced=%llu "
-      "executions=%llu plan_builds=%llu summary_builds=%llu "
+      "executions=%llu plan_builds=%llu profile_builds=%llu "
+      "summary_builds=%llu "
       "evicted_stale=%llu "
       "epoch_rollovers=%llu rows_appended=%llu "
       "scenarios_registered=%llu scenarios_evicted=%llu "
       "scenarios_unregistered=%llu registry_bytes=%llu "
       "registry_scenarios=%llu "
-      "result_cache=%llu plan_cache=%llu summary_cache=%llu queue_hwm=%llu "
+      "result_cache=%llu plan_cache=%llu profile_cache=%llu "
+      "summary_cache=%llu queue_hwm=%llu "
       "hit_rate=%.4f "
       "p50_us=%.0f p95_us=%.0f p99_us=%.0f mean_us=%.0f "
       "update_p50_us=%.0f update_p99_us=%.0f summary_p50_us=%.0f "
@@ -64,6 +68,7 @@ std::string MetricsSnapshot::ToLine() const {
       static_cast<unsigned long long>(coalesced),
       static_cast<unsigned long long>(executions),
       static_cast<unsigned long long>(plan_builds),
+      static_cast<unsigned long long>(profile_builds),
       static_cast<unsigned long long>(summary_builds),
       static_cast<unsigned long long>(evicted_stale),
       static_cast<unsigned long long>(epoch_rollovers),
@@ -75,6 +80,7 @@ std::string MetricsSnapshot::ToLine() const {
       static_cast<unsigned long long>(registry_scenarios),
       static_cast<unsigned long long>(result_cache_entries),
       static_cast<unsigned long long>(plan_cache_entries),
+      static_cast<unsigned long long>(profile_cache_entries),
       static_cast<unsigned long long>(summary_cache_entries),
       static_cast<unsigned long long>(queue_depth_high_water),
       CacheHitRate(), latency.Quantile(0.50) * 1e6,
@@ -136,6 +142,7 @@ MetricsSnapshot ServerMetrics::Snapshot() const {
   snap.coalesced = coalesced.load(std::memory_order_relaxed);
   snap.executions = executions.load(std::memory_order_relaxed);
   snap.plan_builds = plan_builds.load(std::memory_order_relaxed);
+  snap.profile_builds = profile_builds.load(std::memory_order_relaxed);
   snap.summary_builds = summary_builds.load(std::memory_order_relaxed);
   snap.evicted_stale = evicted_stale.load(std::memory_order_relaxed);
   snap.epoch_rollovers = epoch_rollovers.load(std::memory_order_relaxed);

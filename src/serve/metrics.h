@@ -39,6 +39,10 @@ struct MetricsSnapshot {
   /// C-DAG plan artifacts built (planned-mode cache misses that ran the
   /// full pipeline; single-flight keeps this at one per scenario epoch).
   std::uint64_t plan_builds = 0;
+  /// Candidate profiles built (KnowledgeExtractor::ExtractCandidates runs;
+  /// single-flight keeps this at one per scenario epoch and option set,
+  /// shared by the plan build and every mode=full run).
+  std::uint64_t profile_builds = 0;
   /// Summary artifacts built (summarize-mode cache misses that ran the
   /// greedy merge pass; single-flight keeps this at one per
   /// (scenario, epoch, k, options)).
@@ -68,6 +72,8 @@ struct MetricsSnapshot {
   std::uint64_t result_cache_entries = 0;
   /// Current plan-cache entry count (gauge, as above).
   std::uint64_t plan_cache_entries = 0;
+  /// Current candidate-profile entry count (gauge, as above).
+  std::uint64_t profile_cache_entries = 0;
   /// Summarize-mode entries currently in the result cache (gauge, as
   /// above; a subset of result_cache_entries).
   std::uint64_t summary_cache_entries = 0;
@@ -120,6 +126,7 @@ class ServerMetrics {
   std::atomic<std::uint64_t> coalesced{0};
   std::atomic<std::uint64_t> executions{0};
   std::atomic<std::uint64_t> plan_builds{0};
+  std::atomic<std::uint64_t> profile_builds{0};
   std::atomic<std::uint64_t> summary_builds{0};
   std::atomic<std::uint64_t> evicted_stale{0};
   std::atomic<std::uint64_t> epoch_rollovers{0};

@@ -7,12 +7,31 @@
 
 namespace cdi::serve {
 
+namespace {
+
+/// The fingerprint of the options a query runs under.
+std::uint64_t OptionsFingerprint(const ScenarioBundle& bundle,
+                                 const CdiQuery& query) {
+  return query.options.has_value()
+             ? core::PipelineOptionsFingerprint(*query.options)
+             : bundle.default_options_fingerprint;
+}
+
+/// Key of the epoch's candidate profile: PlanCacheKey's fields under its
+/// own tag.
+std::uint64_t ProfileCacheKey(const ScenarioBundle& bundle,
+                              const CdiQuery& query) {
+  return Fnv1a("cdi::serve::ProfileKey/v1")
+      .Mix(bundle.name)
+      .Mix(bundle.epoch)
+      .Mix(OptionsFingerprint(bundle, query))
+      .Digest();
+}
+
+}  // namespace
+
 std::uint64_t QueryCacheKey(const ScenarioBundle& bundle,
                             const CdiQuery& query) {
-  const std::uint64_t options_fingerprint =
-      query.options.has_value()
-          ? core::PipelineOptionsFingerprint(*query.options)
-          : bundle.default_options_fingerprint;
   return Fnv1a("cdi::serve::QueryKey/v1")
       .Mix(bundle.name)
       .Mix(bundle.epoch)
@@ -20,20 +39,16 @@ std::uint64_t QueryCacheKey(const ScenarioBundle& bundle,
       .Mix(query.outcome)
       .Mix(static_cast<std::uint64_t>(query.mode))
       .Mix(static_cast<std::uint64_t>(query.summarize_k))
-      .Mix(options_fingerprint)
+      .Mix(OptionsFingerprint(bundle, query))
       .Digest();
 }
 
 std::uint64_t PlanCacheKey(const ScenarioBundle& bundle,
                            const CdiQuery& query) {
-  const std::uint64_t options_fingerprint =
-      query.options.has_value()
-          ? core::PipelineOptionsFingerprint(*query.options)
-          : bundle.default_options_fingerprint;
   return Fnv1a("cdi::serve::PlanKey/v1")
       .Mix(bundle.name)
       .Mix(bundle.epoch)
-      .Mix(options_fingerprint)
+      .Mix(OptionsFingerprint(bundle, query))
       .Digest();
 }
 
@@ -407,19 +422,39 @@ Result<Payload> QueryServer::Compute(const Request& request,
 
 Result<core::PipelineResult> QueryServer::RunPipeline(
     const Request& request, const std::string& exposure,
-    const std::string& outcome, CancelToken* token) const {
+    const std::string& outcome, CancelToken* token) {
   core::PipelineOptions pipeline_options =
       request.query.options.has_value() ? *request.query.options
                                         : request.bundle->default_options;
   pipeline_options.num_threads = options_.pipeline_threads;
   const datagen::Scenario& sc = *request.bundle->scenario;
-  core::Pipeline pipeline(&sc.kg, &sc.lake, sc.oracle.get(), &sc.topics,
-                          pipeline_options);
   // The bundle's live table, not the scenario's original: after an
   // UpdateScenario rollover they differ, and the epoch in the cache keys
   // refers to the former.
-  return pipeline.Run(*request.bundle->input, sc.spec.entity_column,
-                      exposure, outcome, token);
+  const table::Table& input = *request.bundle->input;
+  // Extraction's per-table half, once per (scenario, epoch, options): a
+  // build that fails or is cancelled is not retained, and one whose epoch
+  // was superseded while it ran is dropped like any stale outcome.
+  const auto build =
+      [&]() -> Result<std::shared_ptr<const core::CandidateProfile>> {
+    CDI_RETURN_IF_ERROR(token->Check());
+    const core::KnowledgeExtractor extractor(&sc.kg, &sc.lake,
+                                             pipeline_options.extractor);
+    CDI_ASSIGN_OR_RETURN(
+        auto profile, extractor.ExtractCandidates(input, sc.spec.entity_column));
+    metrics_.profile_builds.fetch_add(1, std::memory_order_relaxed);
+    return std::make_shared<const core::CandidateProfile>(std::move(profile));
+  };
+  CDI_ASSIGN_OR_RETURN(
+      auto profile,
+      profiles_.GetOrCompute(mu_, ProfileCacheKey(*request.bundle,
+                                                  request.query),
+                             build, request.query.scenario,
+                             request.bundle->epoch, request.deadline));
+  core::Pipeline pipeline(&sc.kg, &sc.lake, sc.oracle.get(), &sc.topics,
+                          pipeline_options);
+  return pipeline.Run(input, sc.spec.entity_column, exposure, outcome, token,
+                      profile.get());
 }
 
 Result<std::shared_ptr<const core::CdagPlan>> QueryServer::GetOrBuildPlan(
@@ -455,6 +490,7 @@ void QueryServer::EvictStaleLocked(const std::string& scenario,
   results_.Sweep(scenario, epoch);
   summaries_.Sweep(scenario, epoch);
   plans_.Sweep(scenario, epoch);
+  profiles_.Sweep(scenario, epoch);
 }
 
 MetricsSnapshot QueryServer::Metrics() const {
@@ -465,6 +501,7 @@ MetricsSnapshot QueryServer::Metrics() const {
     snap.summary_cache_entries = summaries_.size();
     snap.result_cache_entries = results_.size() + summaries_.size();
     snap.plan_cache_entries = plans_.size();
+    snap.profile_cache_entries = profiles_.size();
   }
   const RegistryStats registry = registry_->Stats();
   snap.scenarios_registered = registry.scenarios_registered;
@@ -504,6 +541,7 @@ void QueryServer::Shutdown() {
       followers.push_back(std::move(r));
     }
     plans_.Abort(shutdown);
+    profiles_.Abort(shutdown);
     registrations_.Abort(shutdown);
   }
   for (Request& request : dropped) {

@@ -152,13 +152,16 @@ struct QueryServerOptions {
 /// cache) -> bounded FIFO queue -> worker pool -> pipeline run with a
 /// per-request CancelToken -> response.
 ///
-/// Four cache tiers, one mechanism: each tier is a SingleFlightCache
+/// Five cache tiers, one mechanism: each tier is a SingleFlightCache
 /// (serve/single_flight.h) and so shares its claim / follow / publish /
 /// evict-on-failure / epoch-sweep contract.
 ///   - results: one answer per query key (kFull, kPlanned);
 ///   - summaries: one rendered summary per (scenario, epoch, k, options);
 ///   - plans: one C-DAG artifact per (scenario, epoch, options), built by
 ///     the first planned or summarize request and reused by later ones;
+///   - profiles: one KnowledgeExtractor candidate profile per (scenario,
+///     epoch, options), read by every pipeline run of that epoch — the
+///     plan build and each kFull query;
 ///   - registrations: one RegisterScenario build per name (the registry,
 ///     not the cache, keeps the outcome).
 /// Result and summary keys are claimed at admission, so an identical
@@ -168,11 +171,12 @@ struct QueryServerOptions {
 /// leader answers them when it publishes, and a follower whose own
 /// deadline has passed by then gets kDeadlineExceeded. Plan and
 /// registration followers block on the leader, plan followers only until
-/// their own deadline. Failures are never cached. The result, summary and
-/// plan tiers are epoch-aware: the first touch under a scenario's new
-/// epoch (Replace, UpdateScenario, eviction) drops the older epochs' done
-/// entries, and an outcome that completes under a superseded epoch
-/// answers its followers but is not retained.
+/// their own deadline (profile followers likewise). Failures are never
+/// cached. The result, summary, plan and profile tiers are epoch-aware:
+/// the first touch under a scenario's new epoch (Replace, UpdateScenario,
+/// eviction) drops the older epochs' done entries, and an outcome that
+/// completes under a superseded epoch answers its followers but is not
+/// retained.
 ///
 /// Every pipeline stage is bitwise-deterministic, so a served result is
 /// bitwise-identical to a direct Pipeline::Run of the same query
@@ -239,14 +243,14 @@ class QueryServer {
   Status UnregisterScenario(const std::string& name);
 
   /// Counters plus current cache-size gauges (result_cache_entries /
-  /// plan_cache_entries / summary_cache_entries, read under the server
-  /// lock) and the registry's registration/eviction counters and byte
-  /// gauges.
+  /// plan_cache_entries / profile_cache_entries / summary_cache_entries,
+  /// read under the server lock) and the registry's registration/eviction
+  /// counters and byte gauges.
   MetricsSnapshot Metrics() const;
 
   /// Drops completed result and summary entries (pending flights stay —
-  /// they carry followers). The scenario plan cache is untouched:
-  /// plans are evicted by epoch supersession, and keeping them warm is
+  /// they carry followers). The plan and profile caches are untouched:
+  /// both are evicted by epoch supersession, and keeping them warm is
   /// what makes this the "result cache cold, C-DAG warm" benchmark knob.
   /// Returns the number of entries dropped.
   std::size_t InvalidateCache();
@@ -297,11 +301,13 @@ class QueryServer {
   void EvictStaleLocked(const std::string& scenario, std::uint64_t epoch);
 
   /// One pipeline run for `request`'s bundle and options on the given
-  /// pair.
+  /// pair, extracting from the epoch's candidate profile (built on first
+  /// use through the profile tier; concurrent runs wait for it up to
+  /// their own deadlines).
   Result<core::PipelineResult> RunPipeline(const Request& request,
                                            const std::string& exposure,
                                            const std::string& outcome,
-                                           CancelToken* token) const;
+                                           CancelToken* token);
 
   /// Resolves the scenario's C-DAG plan for a planned or summarize
   /// request through the plan tier: the first request builds the artifact
@@ -319,12 +325,12 @@ class QueryServer {
   QueryServerOptions options_;
   mutable ServerMetrics metrics_;
 
-  /// Guards the queue, the four cache tiers, the active tokens and the
+  /// Guards the queue, the five cache tiers, the active tokens and the
   /// stop flag.
   mutable std::mutex mu_;
   std::condition_variable work_ready_;
   std::deque<Request> queue_;
-  /// Latest bundle epoch seen per scenario, shared by the three
+  /// Latest bundle epoch seen per scenario, shared by the four
   /// epoch-aware tiers.
   EpochTable epochs_;
   AnswerCache results_{/*retain=*/true, &epochs_, &metrics_.evicted_stale};
@@ -333,6 +339,12 @@ class QueryServer {
   /// Keyed by PlanCacheKey.
   SingleFlightCache<std::uint64_t, std::shared_ptr<const core::CdagPlan>>
       plans_{/*retain=*/true, &epochs_, &metrics_.evicted_stale};
+  /// Keyed like plans, under its own tag. Internal to the pipeline runs,
+  /// so its sweeps are not counted in evicted_stale, which counts what a
+  /// client could have been served.
+  SingleFlightCache<std::uint64_t,
+                    std::shared_ptr<const core::CandidateProfile>>
+      profiles_{/*retain=*/true, &epochs_};
   /// Keyed by scenario name.
   SingleFlightCache<std::string, std::shared_ptr<const ScenarioBundle>>
       registrations_{/*retain=*/false};

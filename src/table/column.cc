@@ -600,4 +600,60 @@ void Column::AppendKeyBytes(std::size_t row, std::string* out) const {
   }
 }
 
+std::size_t Column::KeyWidth() const {
+  switch (type_) {
+    case DataType::kDouble:
+      return 1 + sizeof(uint64_t);
+    case DataType::kInt64:
+      return 1 + sizeof(int64_t);
+    case DataType::kString:
+      return 1 + sizeof(int32_t);
+    case DataType::kBool:
+      return 2;
+  }
+  return 0;
+}
+
+void Column::WriteKeyBytes(char* arena, std::size_t* cursor) const {
+  const std::size_t width = KeyWidth();
+  // One pass per column: `payload(r, dst)` writes a non-null cell's value
+  // bytes after its tag.
+  const auto fill = [&](char tag, auto payload) {
+    for (std::size_t r = 0; r < size_; ++r) {
+      char* dst = arena + cursor[r];
+      if (null_count_ != 0 && NullBit(r)) {
+        *dst = kKeyNull;
+        cursor[r] += 1;
+        continue;
+      }
+      *dst = tag;
+      payload(r, dst + 1);
+      cursor[r] += width;
+    }
+  };
+  switch (type_) {
+    case DataType::kDouble:
+      fill(kKeyDouble, [this](std::size_t r, char* dst) {
+        const uint64_t bits = CanonicalBits(doubles_[r]);
+        std::memcpy(dst, &bits, sizeof(bits));
+      });
+      break;
+    case DataType::kInt64:
+      fill(kKeyInt64, [this](std::size_t r, char* dst) {
+        std::memcpy(dst, &ints_[r], sizeof(int64_t));
+      });
+      break;
+    case DataType::kString:
+      fill(kKeyCode, [this](std::size_t r, char* dst) {
+        std::memcpy(dst, &codes_[r], sizeof(int32_t));
+      });
+      break;
+    case DataType::kBool:
+      fill(kKeyBool, [this](std::size_t r, char* dst) {
+        *dst = bools_[r] ? '\x01' : '\x00';
+      });
+      break;
+  }
+}
+
 }  // namespace cdi::table

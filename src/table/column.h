@@ -145,6 +145,15 @@ class Column {
   /// prefix-free, so concatenated composite keys are unambiguous.
   void AppendKeyBytes(std::size_t row, std::string* out) const;
 
+  /// Length of AppendKeyBytes' encoding of a non-null cell (a null cell
+  /// takes one byte).
+  std::size_t KeyWidth() const;
+
+  /// AppendKeyBytes for every row at once, over the typed buffer: row r's
+  /// bytes go to `arena` + cursor[r], and cursor[r] advances past them.
+  /// `cursor` holds size() entries, and the arena must have room.
+  void WriteKeyBytes(char* arena, std::size_t* cursor) const;
+
  private:
   Status CheckType(const Value& v) const;
   bool NullBit(std::size_t row) const {

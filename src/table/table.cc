@@ -1,6 +1,7 @@
 #include "table/table.h"
 
 #include <algorithm>
+#include <memory>
 #include <memory_resource>
 #include <numeric>
 #include <sstream>
@@ -207,19 +208,28 @@ Result<Table> Table::SortBy(const std::string& column, bool ascending) const {
   return TakeRows(order);
 }
 
-Table Table::DistinctRows() const {
+std::vector<std::size_t> Table::DistinctRowIndices() const {
   const std::size_t n = num_rows();
   // Every row's exact typed key, back to back in one arena; row r's bytes
-  // are arena[offsets[r], offsets[r + 1]).
-  std::string arena;
-  arena.reserve(n * columns_.size() * (1 + sizeof(double)));
+  // are arena[offsets[r], offsets[r + 1]). A null cell's key is shorter
+  // than a value's, so row lengths are summed first; then each column
+  // writes its keys in one pass over its buffer.
   std::vector<std::size_t> offsets(n + 1, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (const auto& c : columns_) {
-      c.AppendKeyBytes(r, &arena);
+  std::size_t fixed = 0;  // key bytes every row gets from null-free columns
+  for (const auto& c : columns_) {
+    const std::size_t width = c.KeyWidth();
+    if (c.NullCount() == 0) {
+      fixed += width;
+      continue;
     }
-    offsets[r + 1] = arena.size();
+    for (std::size_t r = 0; r < n; ++r) {
+      offsets[r + 1] += c.IsNull(r) ? 1 : width;
+    }
   }
+  for (std::size_t r = 0; r < n; ++r) offsets[r + 1] += offsets[r] + fixed;
+  const std::unique_ptr<char[]> arena(new char[offsets[n]]);
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const auto& c : columns_) c.WriteKeyBytes(arena.get(), cursor.data());
   // The set holds views into the arena, and its nodes come from one
   // monotonic buffer, not a heap allocation per row.
   std::pmr::monotonic_buffer_resource pool;
@@ -228,12 +238,11 @@ Table Table::DistinctRows() const {
   std::vector<std::size_t> keep;
   keep.reserve(n);
   for (std::size_t r = 0; r < n; ++r) {
-    const std::string_view key(arena.data() + offsets[r],
+    const std::string_view key(arena.get() + offsets[r],
                                offsets[r + 1] - offsets[r]);
     if (seen.insert(key).second) keep.push_back(r);
   }
-  if (keep.size() == n) return *this;
-  return TakeRows(keep);
+  return keep;
 }
 
 std::size_t Table::ByteSize() const {

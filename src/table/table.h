@@ -95,12 +95,12 @@ class Table {
   /// numerics numerically. Stable.
   Result<Table> SortBy(const std::string& column, bool ascending = true) const;
 
-  /// Removes exact duplicate rows (all columns equal), keeping first
-  /// occurrences. Rows compare by their Column::AppendKeyBytes keys, so
-  /// every NaN equals every NaN, nulls equal nulls, +0.0 and -0.0 stay
-  /// distinct, and so do two int64 values above 2^53. Returns
-  /// a plain copy when no row repeats.
-  Table DistinctRows() const;
+  /// The first occurrence of every distinct row (all columns equal), in
+  /// row order; every row when none repeats. Rows compare by their
+  /// Column::AppendKeyBytes keys, so every NaN equals every NaN, nulls
+  /// equal nulls, +0.0 and -0.0 stay distinct, and so do two int64 values
+  /// above 2^53.
+  std::vector<std::size_t> DistinctRowIndices() const;
 
   /// Pretty-prints up to `max_rows` rows in a fixed-width layout.
   std::string ToString(std::size_t max_rows = 20) const;

@@ -6,8 +6,11 @@
 
 #include "common/span.h"
 #include "common/status.h"
+#include "common/timer.h"
 #include "core/data_organizer.h"
+#include "core/knowledge_extractor.h"
 #include "knowledge/data_lake.h"
+#include "knowledge/knowledge_graph.h"
 #include "stats/independence.h"
 #include "stats/matrix.h"
 #include "table/table.h"
@@ -41,9 +44,10 @@ std::vector<knowledge::DataLake::JoinedColumn> ReferenceJoinColumns(
     const knowledge::DataLake& lake, const std::vector<std::string>& keys,
     double min_containment);
 
-/// table::Table::DistinctRows as it was before the hashed arena: one heap
-/// string per row in a std::unordered_set, and TakeRows even when every
-/// row is kept.
+/// Duplicate-row removal as it was before the hashed arena: one heap
+/// string of Column::AppendKeyBytes per row in a std::unordered_set, then
+/// TakeRows of the first occurrences. Table::DistinctRowIndices must keep
+/// the same rows.
 table::Table ReferenceDistinctRows(const table::Table& t);
 
 /// core::DataOrganizer::Organize as it was before the shared rank orders:
@@ -56,6 +60,19 @@ Result<core::OrganizerResult> ReferenceOrganize(
     const core::OrganizerOptions& options, const table::Table& augmented,
     const std::string& entity_column, const std::string& exposure,
     const std::string& outcome);
+
+/// core::KnowledgeExtractor::Extract as it was before the candidate
+/// profile: one pass that links the entities, scores every candidate
+/// against the exposure, the outcome and every other numeric input column
+/// in that order, ranks the lake columns and charges `meter` as the KG and
+/// lake calls run. SelectAttributes over a shared profile must agree with
+/// it to the bit: every attribute field, every augmented cell, both column
+/// counts and every meter entry.
+Result<core::ExtractionResult> ReferenceExtract(
+    const knowledge::KnowledgeGraph* kg, const knowledge::DataLake* lake,
+    const core::ExtractorOptions& options, const table::Table& input,
+    const std::string& entity_column, const std::string& exposure,
+    const std::string& outcome, LatencyMeter* meter);
 
 }  // namespace cdi::testing
 

@@ -632,8 +632,8 @@ TEST(DataOrganizerTest, MatchesReferenceBitForBit) {
     const table::Table input =
         OrganizerStressInput(seed, 40 + 23 * static_cast<std::size_t>(seed));
     const std::string what = "seed " + std::to_string(seed);
-    ExpectSameTable(input.DistinctRows(), testing::ReferenceDistinctRows(input),
-                    what + " distinct");
+    ExpectSameTable(input.TakeRows(input.DistinctRowIndices()),
+                    testing::ReferenceDistinctRows(input), what + " distinct");
     for (std::size_t k = 0; k < option_sets.size(); ++k) {
       const DataOrganizer organizer(option_sets[k]);
       const auto got = organizer.Organize(input, "entity", "t", "o");
@@ -958,6 +958,210 @@ TEST(KnowledgeExtractorTest, RequiresStringEntityColumn) {
   knowledge::KnowledgeGraph kg;
   KnowledgeExtractor extractor(&kg, nullptr);
   EXPECT_FALSE(extractor.Extract(input, "entity", "t", "o").ok());
+}
+
+/// SelectAttributes on `profile` against ReferenceExtract for the ordered
+/// pair (t, o): every attribute field, every augmented cell, both column
+/// counts and every meter entry, bit for bit. Both meters start with one
+/// prior call of every service the profile charged, so a replay that
+/// added a service's total at once instead of call by call would differ.
+void ExpectSelectMatchesReference(const KnowledgeExtractor& extractor,
+                                  const knowledge::KnowledgeGraph* kg,
+                                  const knowledge::DataLake* lake,
+                                  const ExtractorOptions& options,
+                                  const CandidateProfile& profile,
+                                  const table::Table& input,
+                                  const std::string& entity,
+                                  const std::string& t, const std::string& o,
+                                  const std::string& what) {
+  LatencyMeter got_meter, want_meter;
+  for (const auto& run : profile.charges) {
+    got_meter.Charge(run.service, 0.1);
+    want_meter.Charge(run.service, 0.1);
+  }
+  const auto got =
+      extractor.SelectAttributes(profile, input, t, o, &got_meter);
+  const auto want = testing::ReferenceExtract(kg, lake, options, input,
+                                              entity, t, o, &want_meter);
+  ASSERT_TRUE(want.ok()) << what << ": " << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+  EXPECT_EQ(got->kg_columns_found, want->kg_columns_found) << what;
+  EXPECT_EQ(got->lake_columns_found, want->lake_columns_found) << what;
+  ASSERT_EQ(got->attributes.size(), want->attributes.size()) << what;
+  for (std::size_t i = 0; i < got->attributes.size(); ++i) {
+    const ExtractedAttribute& a = got->attributes[i];
+    const ExtractedAttribute& b = want->attributes[i];
+    const std::string attr = what + " attribute " + std::to_string(i);
+    EXPECT_EQ(a.name, b.name) << attr;
+    EXPECT_EQ(a.source, b.source) << attr;
+    ExpectSameBits(a.corr_with_exposure, b.corr_with_exposure, attr);
+    ExpectSameBits(a.corr_with_outcome, b.corr_with_outcome, attr);
+    EXPECT_EQ(a.kept, b.kept) << attr;
+    EXPECT_EQ(a.drop_reason, b.drop_reason) << attr;
+  }
+  ExpectSameTable(got->augmented, want->augmented, what + " augmented");
+  ASSERT_EQ(got_meter.entries().size(), want_meter.entries().size()) << what;
+  for (const auto& [service, entry] : want_meter.entries()) {
+    EXPECT_EQ(got_meter.Calls(service), entry.calls) << what << " " << service;
+    ExpectSameBits(got_meter.Seconds(service), entry.seconds,
+                   what + " " + service);
+  }
+}
+
+/// Numeric non-entity columns of `input`, in order.
+std::vector<std::string> NumericColumns(const table::Table& input,
+                                        const std::string& entity) {
+  std::vector<std::string> out;
+  for (std::size_t c = 0; c < input.num_cols(); ++c) {
+    const table::Column& col = input.ColumnAt(c);
+    if (col.name() != entity && table::IsNumeric(col.type())) {
+      out.push_back(col.name());
+    }
+  }
+  return out;
+}
+
+/// The pair-dependent parts of extraction on a lake built to expose them:
+/// one table joins on two key columns, so its value column arrives twice
+/// with different values, and which copy survives the duplicate check
+/// depends on the ranking by the outcome, then the exposure. The input
+/// holds numeric a, b, c and a bool `flag`; the KG one numeric and one
+/// string property.
+void BuildDuplicateJoinCase(knowledge::KnowledgeGraph* kg,
+                            knowledge::DataLake* lake, table::Table* input) {
+  Rng rng(47);
+  const std::size_t n = 200;
+  std::vector<std::string> entity(n);
+  std::vector<double> a(n), b(n), c(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    entity[i] = "E" + std::to_string(i);
+    a[i] = rng.Normal();
+    b[i] = 0.6 * a[i] + rng.Normal();
+    c[i] = 0.5 * b[i] + rng.Normal();
+  }
+  // Row i of the lake table carries entity i's key and, as its alias,
+  // another entity's key: joined by key the value tracks `a`, joined by
+  // alias it tracks that entity's `c`.
+  std::vector<std::string> keys(n), aliases(n);
+  std::vector<double> vals(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j = (i * 7 + 3) % n;
+    keys[i] = entity[i];
+    aliases[i] = entity[j];
+    vals[i] = 0.4 * a[i] + 0.4 * c[j] + 0.3 * rng.Normal();
+  }
+  table::Table lt("two_keys");
+  CDI_CHECK(lt.AddColumn(table::Column::FromStrings("key", keys)).ok());
+  CDI_CHECK(lt.AddColumn(table::Column::FromStrings("alias", aliases)).ok());
+  CDI_CHECK(lt.AddColumn(table::Column::FromDoubles("v", vals)).ok());
+  lake->AddTable(std::move(lt));
+  for (std::size_t i = 0; i < n; ++i) {
+    kg->AddLiteral(entity[i], "kg_b", table::Value(b[i] + 0.2 * rng.Normal()));
+    kg->AddLiteral(entity[i], "kg_label",
+                   table::Value(std::string(i % 2 ? "odd" : "even")));
+  }
+  *input = table::Table("in");
+  CDI_CHECK(
+      input->AddColumn(table::Column::FromStrings("entity", entity)).ok());
+  CDI_CHECK(input->AddColumn(table::Column::FromDoubles("a", a)).ok());
+  CDI_CHECK(input->AddColumn(table::Column::FromDoubles("b", b)).ok());
+  CDI_CHECK(input->AddColumn(table::Column::FromDoubles("c", c)).ok());
+  table::Column flag("flag", table::DataType::kBool);
+  for (std::size_t i = 0; i < n; ++i) CDI_CHECK(flag.AppendBool(b[i] > 0).ok());
+  CDI_CHECK(input->AddColumn(std::move(flag)).ok());
+}
+
+// One profile per table serves every question: for every ordered pair of
+// numeric input columns, SelectAttributes on the shared profile equals the
+// single-pass extractor it replaced. Covers both paper scenarios, grid
+// cells spanning every attribute split and both mechanisms, and the
+// duplicate-join lake, where the pair decides which joined copy is kept.
+TEST(KnowledgeExtractorTest, SelectAttributesMatchesReferenceOnEveryPair) {
+  std::vector<datagen::ScenarioSpec> specs = {datagen::FlightsSpec(),
+                                              datagen::CovidSpec()};
+  for (int split = 1; split <= 3; ++split) {
+    for (bool nonlinear : {false, true}) {
+      datagen::GridCell cell;
+      cell.nonlinear = nonlinear;
+      cell.attrs_per_cluster = split;
+      cell.mnar_level = split - 1;
+      cell.binary_outcome = nonlinear;
+      specs.push_back(datagen::GridScenarioSpec(cell, 120));
+    }
+  }
+  std::size_t pairs = 0, lake_found = 0;
+  const auto every_pair = [&](const knowledge::KnowledgeGraph* kg,
+                              const knowledge::DataLake* lake,
+                              const ExtractorOptions& options,
+                              const table::Table& input,
+                              const std::string& entity,
+                              const std::string& what) {
+    const KnowledgeExtractor extractor(kg, lake, options);
+    const auto profile = extractor.ExtractCandidates(input, entity);
+    ASSERT_TRUE(profile.ok()) << what;
+    const auto columns = NumericColumns(input, entity);
+    EXPECT_EQ(profile->references, columns) << what;
+    for (const auto& t : columns) {
+      for (const auto& o : columns) {
+        if (t == o) continue;
+        ExpectSelectMatchesReference(extractor, kg, lake, options, *profile,
+                                     input, entity, t, o,
+                                     what + " " + t + " -> " + o);
+        ++pairs;
+      }
+    }
+    lake_found += profile->lake.size();
+  };
+  for (const auto& spec : specs) {
+    auto scenario = datagen::BuildScenario(spec);
+    ASSERT_TRUE(scenario.ok()) << spec.name;
+    const auto& s = **scenario;
+    every_pair(&s.kg, &s.lake, DefaultEvaluationOptions(s).extractor,
+               s.input_table, spec.entity_column, spec.name);
+  }
+  EXPECT_GE(pairs, 24u);
+  EXPECT_GT(lake_found, 0u);
+
+  knowledge::KnowledgeGraph kg;
+  knowledge::DataLake lake;
+  table::Table input;
+  BuildDuplicateJoinCase(&kg, &lake, &input);
+  every_pair(&kg, &lake, ExtractorOptions(), input, "entity",
+             "duplicate joins");
+}
+
+// A bool exposure is no reference of a shared profile, so SelectAttributes
+// refuses it; Extract adds it to a profile of its own and still equals the
+// single-pass extractor.
+TEST(KnowledgeExtractorTest, ExtractAddsNonNumericExposureToItsProfile) {
+  knowledge::KnowledgeGraph kg;
+  knowledge::DataLake lake;
+  table::Table input;
+  BuildDuplicateJoinCase(&kg, &lake, &input);
+  const ExtractorOptions options;
+  const KnowledgeExtractor extractor(&kg, &lake, options);
+  const auto profile = extractor.ExtractCandidates(input, "entity");
+  ASSERT_TRUE(profile.ok());
+  EXPECT_FALSE(profile->HasReference("flag"));
+  EXPECT_FALSE(extractor.SelectAttributes(*profile, input, "flag", "c").ok());
+
+  LatencyMeter got_meter, want_meter;
+  const auto got =
+      extractor.Extract(input, "entity", "flag", "c", &got_meter);
+  const auto want = testing::ReferenceExtract(
+      &kg, &lake, options, input, "entity", "flag", "c", &want_meter);
+  ASSERT_TRUE(got.ok() && want.ok());
+  ASSERT_EQ(got->attributes.size(), want->attributes.size());
+  for (std::size_t i = 0; i < got->attributes.size(); ++i) {
+    const std::string what = "attribute " + std::to_string(i);
+    EXPECT_EQ(got->attributes[i].name, want->attributes[i].name) << what;
+    EXPECT_EQ(got->attributes[i].kept, want->attributes[i].kept) << what;
+    ExpectSameBits(got->attributes[i].corr_with_exposure,
+                   want->attributes[i].corr_with_exposure, what);
+  }
+  ExpectSameTable(got->augmented, want->augmented, "augmented");
+  ExpectSameBits(got_meter.TotalSeconds(), want_meter.TotalSeconds(),
+                 "meter");
 }
 
 // --------------------------------------------------------- identifiability

@@ -718,6 +718,7 @@ TEST(QueryServerTest, EpochChurnKeepsCachesBoundedAndServesFreshResults) {
   EXPECT_LE(metrics.result_cache_entries, 2 * pairs + 3);
   EXPECT_LE(metrics.summary_cache_entries, 3u);
   EXPECT_LE(metrics.plan_cache_entries, 2u);
+  EXPECT_LE(metrics.profile_cache_entries, 2u);
   EXPECT_GE(metrics.plan_builds, 1u);
 }
 
@@ -1209,6 +1210,80 @@ TEST(QueryServerTest, UpdateScenarioServesFreshAnswers) {
   // Unknown scenario surfaces the registry error untouched.
   EXPECT_EQ(server.UpdateScenario("nope", batch).status().code(),
             StatusCode::kNotFound);
+}
+
+/// Extraction's per-table half runs once per scenario epoch: the plan
+/// build and a full run on the reversed pair share one candidate profile,
+/// and the full answer still equals a fresh Pipeline::Run. An update
+/// builds the next epoch's profile and sweeps the stale one; a build
+/// cancelled by its request's deadline is not retained.
+TEST(QueryServerTest, FullRunReusesEpochProfile) {
+  ScenarioRegistry registry;
+  auto bundle = *registry.Register("covid", BuildCovid());
+  const datagen::Scenario& sc = *bundle->scenario;
+  const std::string& t = sc.exposure_attribute;
+  const std::string& o = sc.outcome_attribute;
+  std::atomic<bool> stall{true};
+  QueryServerOptions options;
+  options.num_workers = 1;
+  options.pre_execute_hook = [&stall] {
+    if (stall.load()) std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  };
+  QueryServer server(&registry, options);
+
+  // The deadline passes in the hook, before the profile is built.
+  auto expired = server.Execute(Query(o, t, /*timeout=*/0.005));
+  EXPECT_EQ(expired.status.code(), StatusCode::kDeadlineExceeded);
+  auto metrics = server.Metrics();
+  EXPECT_EQ(metrics.profile_builds, 0u);
+  EXPECT_EQ(metrics.profile_cache_entries, 0u);
+  stall.store(false);
+
+  const auto expect_direct = [&](const QueryResponse& response,
+                                 const table::Table& input) {
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    ASSERT_NE(response.result(), nullptr);
+    core::Pipeline pipeline(&sc.kg, &sc.lake, sc.oracle.get(), &sc.topics,
+                            bundle->default_options);
+    auto direct = pipeline.Run(input, sc.spec.entity_column, o, t);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_EQ(FormatResultPayload(*response.result()),
+              FormatResultPayload(*direct));
+    const auto& served = response.result()->external.entries();
+    ASSERT_EQ(served.size(), direct->external.entries().size());
+    for (const auto& [service, entry] : direct->external.entries()) {
+      EXPECT_EQ(served.at(service).calls, entry.calls) << service;
+      EXPECT_EQ(served.at(service).seconds, entry.seconds) << service;
+    }
+  };
+
+  auto planned = Query(t, o);
+  planned.mode = QueryMode::kPlanned;
+  ASSERT_TRUE(server.Execute(planned).status.ok());
+  auto full = server.Execute(Query(o, t));
+  EXPECT_EQ(full.source, ResponseSource::kExecuted);
+  expect_direct(full, *bundle->input);
+  metrics = server.Metrics();
+  EXPECT_EQ(metrics.plan_builds, 1u);
+  EXPECT_EQ(metrics.executions, 2u);
+  EXPECT_EQ(metrics.profile_builds, 1u);
+  EXPECT_EQ(metrics.profile_cache_entries, 1u);
+
+  std::vector<std::size_t> picks;
+  for (std::size_t r = 0; r < 30; ++r) picks.push_back(r);
+  auto updated =
+      server.UpdateScenario("covid", bundle->input->TakeRows(picks));
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  auto after = server.Execute(Query(o, t));
+  EXPECT_EQ(after.scenario_epoch, (*updated)->epoch);
+  expect_direct(after, *(*updated)->input);
+  metrics = server.Metrics();
+  EXPECT_EQ(metrics.profile_builds, 2u);
+  EXPECT_EQ(metrics.profile_cache_entries, 1u);  // the stale one is swept
+  EXPECT_EQ(metrics.plan_builds, 1u);
+  const std::string line = metrics.ToLine();
+  EXPECT_NE(line.find(" profile_builds=2 "), std::string::npos) << line;
+  EXPECT_NE(line.find(" profile_cache=1 "), std::string::npos) << line;
 }
 
 // ---------------------------------------------------------Line protocol

@@ -175,7 +175,7 @@ TEST(TableTest, DistinctRows) {
   Table t("t");
   CDI_CHECK(t.AddColumn(Column::FromStrings("k", {"a", "b", "a", "a"})).ok());
   CDI_CHECK(t.AddColumn(Column::FromInts("v", {1, 2, 1, 3})).ok());
-  Table d = t.DistinctRows();
+  Table d = t.TakeRows(t.DistinctRowIndices());
   EXPECT_EQ(d.num_rows(), 3u);  // (a,1), (b,2), (a,3)
 }
 
@@ -187,7 +187,7 @@ TEST(TableTest, DistinctRowsKeepsDoublesOneUlpApart) {
   ASSERT_NE(a, b);
   Table t("t");
   CDI_CHECK(t.AddColumn(Column::FromDoubles("x", {a, b, a})).ok());
-  Table d = t.DistinctRows();
+  Table d = t.TakeRows(t.DistinctRowIndices());
   ASSERT_EQ(d.num_rows(), 2u);
   EXPECT_EQ(d.GetCell(0, "x")->as_double(), a);
   EXPECT_EQ(d.GetCell(1, "x")->as_double(), b);
@@ -201,7 +201,7 @@ TEST(TableTest, DistinctRowsKeepsInt64ValuesAbove2To53) {
   ASSERT_EQ(static_cast<double>(a), static_cast<double>(b));
   Table t("t");
   CDI_CHECK(t.AddColumn(Column::FromInts("v", {a, b, b})).ok());
-  Table d = t.DistinctRows();
+  Table d = t.TakeRows(t.DistinctRowIndices());
   ASSERT_EQ(d.num_rows(), 2u);
   EXPECT_EQ(d.GetCell(0, "v")->as_int64(), a);
   EXPECT_EQ(d.GetCell(1, "v")->as_int64(), b);
@@ -217,7 +217,7 @@ TEST(TableTest, DistinctRowsGroupsNullsWithNulls) {
   }
   CDI_CHECK(t.AddColumn(std::move(k)).ok());
   CDI_CHECK(t.AddColumn(std::move(v)).ok());
-  Table d = t.DistinctRows();
+  Table d = t.TakeRows(t.DistinctRowIndices());
   ASSERT_EQ(d.num_rows(), 2u);  // (a, null), (null, null)
   EXPECT_EQ(d.GetCell(0, "k")->as_string(), "a");
   EXPECT_TRUE(d.GetCell(1, "k")->is_null());
@@ -235,7 +235,7 @@ TEST(TableTest, DistinctRowsGroupsEveryNanWithEveryNan) {
   ASSERT_EQ(x.NullCount(), 0u);
   Table t("t");
   CDI_CHECK(t.AddColumn(std::move(x)).ok());
-  Table d = t.DistinctRows();
+  Table d = t.TakeRows(t.DistinctRowIndices());
   ASSERT_EQ(d.num_rows(), 2u);
   EXPECT_TRUE(std::isnan(d.GetCell(0, "x")->as_double()));
   EXPECT_EQ(d.GetCell(1, "x")->as_double(), 1.0);
